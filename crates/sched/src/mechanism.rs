@@ -7,32 +7,20 @@ use std::collections::{HashMap, HashSet};
 
 /// Per-job worker counts as seen by the round planner.
 ///
-/// The simulator's event engine looks scale factors up in its live job
-/// table instead of materializing a fresh `HashMap` every round; plain
-/// maps keep working for tests and standalone callers. Unknown jobs
-/// (members of stale combos whose allocation has not been recomputed yet)
-/// default to 1, matching the historical `unwrap_or(&1)` behavior.
+/// The service looks scale factors up in its live job table instead of
+/// materializing a fresh `HashMap` every round; plain maps keep working
+/// for tests and standalone callers.
 pub trait ScaleFactors {
-    /// Worker count of `job` (1 when unknown).
-    fn scale_factor_of(&self, job: JobId) -> u32;
-
-    /// Whether `job` is still live. Defaults to `true`: stale combos
-    /// (members already completed, allocation not yet recomputed) keep
-    /// planning as they historically did. Strict planners
-    /// ([`RoundScheduler::plan_round_cached_strict`]) skip combos with any
-    /// non-live member instead.
-    fn is_live(&self, _job: JobId) -> bool {
-        true
-    }
+    /// Worker count of `job`, or `None` when `job` is no longer live. A
+    /// round plans only combos whose members are all live: a combo with a
+    /// departed member (its allocation not yet recomputed) is skipped and
+    /// its workers go to the next candidate.
+    fn scale_factor_of(&self, job: JobId) -> Option<u32>;
 }
 
 impl ScaleFactors for HashMap<JobId, u32> {
-    fn scale_factor_of(&self, job: JobId) -> u32 {
-        *self.get(&job).unwrap_or(&1)
-    }
-
-    fn is_live(&self, job: JobId) -> bool {
-        self.contains_key(&job)
+    fn scale_factor_of(&self, job: JobId) -> Option<u32> {
+        self.get(&job).copied()
     }
 }
 
@@ -134,16 +122,9 @@ impl RoundScheduler {
         })
     }
 
-    /// Drops a completed job's accounting (its combos can never run again).
-    ///
-    /// Under throttled recomputation a *stale* combo of a forgotten job
-    /// can still appear in the next round's plan (the allocation has not
-    /// been recomputed yet); [`RoundScheduler::record`] then re-registers
-    /// it, exactly as the pre-index scheduler did — the resurrected entry
-    /// keeps planning priorities (and simulator replays) bit-identical.
-    /// It lingers until the job's other member completes or
-    /// [`RoundScheduler::reset`]; callers wanting strict semantics should
-    /// avoid recording plans built from stale allocations.
+    /// Drops a completed job's accounting (its combos can never run again:
+    /// the planner skips combos with a non-live member, so a forgotten
+    /// combo is never planned or re-recorded).
     pub fn forget_job(&mut self, job: JobId) {
         for combo in self.job_combos.remove(&job).unwrap_or_default() {
             self.time_received.remove(&combo);
@@ -153,14 +134,6 @@ impl RoundScheduler {
                 }
             }
         }
-    }
-
-    /// Clears all accounting (used at allocation-recomputation resets when
-    /// strict §3.2 semantics are wanted; the simulator keeps cumulative
-    /// history by default, which converges identically).
-    pub fn reset(&mut self) {
-        self.time_received.clear();
-        self.job_combos.clear();
     }
 
     /// Plans one round for the target allocation.
@@ -213,32 +186,6 @@ impl RoundScheduler {
         plan
     }
 
-    /// Like [`RoundScheduler::plan_round_cached`], but with strict stale
-    /// handling: combos whose members are not all live (per
-    /// [`ScaleFactors::is_live`]) are skipped outright instead of being
-    /// planned from the stale allocation — their workers go to the next
-    /// candidate, and [`RoundScheduler::record`] never re-registers a
-    /// forgotten combo (see [`RoundScheduler::forget_job`] for the
-    /// historical resurrection behavior this avoids).
-    pub fn plan_round_cached_strict(
-        &mut self,
-        alloc: &Allocation,
-        alloc_gen: u64,
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-    ) -> RoundPlan {
-        if self.candidates_gen != Some(alloc_gen) {
-            collect_candidates(alloc, &mut self.candidates);
-            self.candidates_gen = Some(alloc_gen);
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.score_candidates(alloc, &mut candidates);
-        let plan =
-            self.plan_from_candidates_impl(alloc, &candidates, scale_factor, available, true);
-        self.candidates = candidates;
-        plan
-    }
-
     /// Priorities follow Figure 4: the target allocation divided by the
     /// raw time already received on that type (element-wise `X / f`), with
     /// infinite priority for combos that have a positive target but have
@@ -257,33 +204,21 @@ impl RoundScheduler {
         }
         candidates.sort_by(|a, b| {
             b.priority
-                .partial_cmp(&a.priority)
-                .unwrap()
-                .then(b.target.partial_cmp(&a.target).unwrap())
+                .total_cmp(&a.priority)
+                .then(b.target.total_cmp(&a.target))
                 .then(a.row.cmp(&b.row))
                 .then(a.accel.cmp(&b.accel))
         });
     }
 
     /// Algorithm 1: greedy admission with conflict removal over the sorted
-    /// candidate list.
+    /// candidate list, skipping combos with a non-live member.
     fn plan_from_candidates(
         &self,
         alloc: &Allocation,
         candidates: &[Candidate],
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
-    ) -> RoundPlan {
-        self.plan_from_candidates_impl(alloc, candidates, scale_factor, available, false)
-    }
-
-    fn plan_from_candidates_impl(
-        &self,
-        alloc: &Allocation,
-        candidates: &[Candidate],
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-        drop_stale: bool,
     ) -> RoundPlan {
         let combos = alloc.combos().combos();
         let mut placement = match available {
@@ -297,15 +232,15 @@ impl RoundScheduler {
             if combo.jobs().any(|job| busy_jobs.contains(&job)) {
                 continue;
             }
-            if drop_stale && combo.jobs().any(|job| !scale_factor.is_live(job)) {
-                continue;
-            }
-            let sf = combo
+            let Some(sf) = combo
                 .jobs()
                 .map(|job| scale_factor.scale_factor_of(job))
-                .max()
-                .unwrap_or(1) as usize;
-            let Some((workers, consolidated)) = placement.allocate(AccelIdx(c.accel), sf) else {
+                .try_fold(0, |acc, sf| sf.map(|sf| acc.max(sf)))
+            else {
+                continue;
+            };
+            let Some((workers, consolidated)) = placement.allocate(AccelIdx(c.accel), sf as usize)
+            else {
                 continue;
             };
             for job in combo.jobs() {
@@ -341,8 +276,8 @@ impl RoundScheduler {
     }
 }
 
-/// Extracts the (row, type) pairs with positive target allocation into
-/// `out` (cleared first). Priorities are filled in by
+/// Extracts the (row, type) pairs with positive finite target allocation
+/// into `out` (cleared first). Priorities are filled in by
 /// [`RoundScheduler::score_candidates`] just before planning.
 fn collect_candidates(alloc: &Allocation, out: &mut Vec<Candidate>) {
     out.clear();
@@ -350,7 +285,7 @@ fn collect_candidates(alloc: &Allocation, out: &mut Vec<Candidate>) {
     for k in 0..alloc.combos().len() {
         for j in 0..num_types {
             let target = alloc.get(k, AccelIdx(j));
-            if target <= 1e-4 {
+            if !target.is_finite() || target <= 1e-4 {
                 continue;
             }
             out.push(Candidate {
@@ -483,35 +418,43 @@ mod tests {
     }
 
     #[test]
-    fn strict_plan_skips_stale_combos() {
+    fn plans_skip_stale_combos() {
         // Job 1 has departed (absent from the scale-factor map → not
-        // live). The lenient planner still schedules its combo from the
-        // stale allocation; the strict planner skips it and leaves the
-        // worker to a live candidate.
+        // live). Both planners skip its combo from the stale allocation
+        // and still plan the live jobs.
         let alloc = example_allocation();
-        let mut lenient = RoundScheduler::new(cluster());
-        let mut strict = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(2)]);
-        let lenient_plan = lenient.plan_round_cached(&alloc, 1, &sf, None);
-        assert!(
-            lenient_plan
+        let sched = RoundScheduler::new(cluster());
+        let fresh = sched.plan_round(&alloc, &sf);
+        let cached = RoundScheduler::new(cluster()).plan_round_cached(&alloc, 1, &sf, None);
+        for plan in [fresh, cached] {
+            assert_eq!(plan.running_jobs(), HashSet::from([JobId(0), JobId(2)]));
+        }
+    }
+
+    #[test]
+    fn nan_cell_does_not_panic() {
+        // A NaN target is never a candidate; the finite cells still plan.
+        let jobs = [JobId(0), JobId(1), JobId(2)];
+        let alloc = Allocation::new(
+            ComboSet::singletons(&jobs),
+            vec![
+                vec![f64::NAN, 0.4, 0.0],
+                vec![0.2, 0.6, 0.2],
+                vec![0.2, 0.0, 0.8],
+            ],
+        );
+        let mut sched = RoundScheduler::new(cluster());
+        let sf = sf1(&jobs);
+        for _ in 0..5 {
+            let plan = sched.plan_round(&alloc, &sf);
+            assert!(!plan.assignments.is_empty());
+            assert!(plan
                 .assignments
                 .iter()
-                .any(|a| a.combo.jobs().any(|j| j == JobId(1))),
-            "lenient plan keeps the stale combo"
-        );
-        let strict_plan = strict.plan_round_cached_strict(&alloc, 1, &sf, None);
-        assert!(
-            strict_plan
-                .assignments
-                .iter()
-                .all(|a| a.combo.jobs().all(|j| j != JobId(1))),
-            "strict plan drops the stale combo"
-        );
-        assert!(
-            !strict_plan.assignments.is_empty(),
-            "live jobs still planned"
-        );
+                .all(|a| !alloc.get(a.row, a.accel).is_nan()));
+            sched.record(&plan, 360.0);
+        }
     }
 
     #[test]

@@ -137,22 +137,18 @@ impl EventQueue {
 }
 
 /// Scale-factor lookup over the service's live job table (no per-round
-/// `HashMap` materialization). Liveness doubles as the strict planner's
-/// stale-combo filter.
+/// `HashMap` materialization); departed jobs are not live, so the planner
+/// skips their stale combos.
 struct ActiveScaleFactors<'e> {
     active: &'e [ActiveJob],
     index: &'e HashMap<JobId, usize>,
 }
 
 impl ScaleFactors for ActiveScaleFactors<'_> {
-    fn scale_factor_of(&self, job: JobId) -> u32 {
+    fn scale_factor_of(&self, job: JobId) -> Option<u32> {
         self.index
             .get(&job)
-            .map_or(1, |&i| self.active[i].trace.scale_factor)
-    }
-
-    fn is_live(&self, job: JobId) -> bool {
-        self.index.contains_key(&job)
+            .map(|&i| self.active[i].trace.scale_factor)
     }
 }
 
@@ -477,8 +473,10 @@ impl<'p> SchedulerService<'p> {
                 let k = (job.arrival_time / round).ceil().max(0.0);
                 (k * round).max(self.now + round)
             };
-            if self.config.strict_failure_clock {
-                self.drain_events_at_times(target);
+            // Cluster events due in the idle gap fire at their scheduled
+            // times while the clock skips ahead.
+            if let Some(fc) = self.config.failures {
+                self.drain_due_events(fc, target, true);
             }
             self.now = target;
             if self.now >= self.config.max_seconds {
@@ -655,8 +653,8 @@ impl<'p> SchedulerService<'p> {
     }
 
     /// Shared recompute: snapshots the policy input, solves the policy
-    /// (isolated-split fallback on failure), and bumps the allocation
-    /// generation.
+    /// (isolated-split fallback on failure, including an `Ok` allocation
+    /// with a non-finite cell), and bumps the allocation generation.
     fn recompute(&mut self) {
         let t0 = Instant::now();
         let cfg = &self.config;
@@ -680,8 +678,8 @@ impl<'p> SchedulerService<'p> {
             cluster: &cfg.cluster,
         };
         let (alloc, failed) = match self.policy.compute_allocation(&input) {
-            Ok(alloc) => (alloc, false),
-            Err(_) => {
+            Ok(alloc) if alloc.values().iter().flatten().all(|v| v.is_finite()) => (alloc, false),
+            _ => {
                 let alloc = IsolatedSplit::new()
                     .compute_allocation(&input)
                     .unwrap_or_else(|_| Allocation::zeros(combos.clone(), cfg.cluster.num_types()));
@@ -721,10 +719,9 @@ impl<'p> SchedulerService<'p> {
             .push(at + fc.downtime_seconds, ClusterEvent::Repair(failed_type));
     }
 
-    /// Drains every cluster event due at or before `now`, processing each
-    /// at `process_at(event_time)` — `now` for the historical
-    /// batch-at-round-boundary semantics, the event's own time under the
-    /// strict failure clock.
+    /// Drains every cluster event due at or before `horizon`, processing
+    /// each at its own scheduled time when `at_event_times` (an idle
+    /// fast-forward) or at `horizon` (a round boundary).
     fn drain_due_events(&mut self, fc: FailureConfig, horizon: f64, at_event_times: bool) {
         while let Some(ev) = self.events.pop_due(horizon) {
             let at = if at_event_times { ev.time } else { horizon };
@@ -741,15 +738,6 @@ impl<'p> SchedulerService<'p> {
                 }
             }
             self.need_recompute = true;
-        }
-    }
-
-    /// Strict-failure-clock idle fast-forward: process events due before
-    /// `target` at their scheduled times (repairs land on time even while
-    /// the cluster is idle).
-    fn drain_events_at_times(&mut self, target: f64) {
-        if let Some(fc) = self.config.failures {
-            self.drain_due_events(fc, target, true);
         }
     }
 
@@ -800,13 +788,9 @@ impl<'p> SchedulerService<'p> {
             active: &self.active,
             index: &self.index,
         };
-        let plan = if self.config.strict_recompute {
-            self.sched
-                .plan_round_cached_strict(alloc, self.alloc_gen, &sf, available.as_deref())
-        } else {
-            self.sched
-                .plan_round_cached(alloc, self.alloc_gen, &sf, available.as_deref())
-        };
+        let plan = self
+            .sched
+            .plan_round_cached(alloc, self.alloc_gen, &sf, available.as_deref());
         if let Some(av) = &available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -833,14 +817,9 @@ impl<'p> SchedulerService<'p> {
         for assignment in &plan.assignments {
             let gpu = GpuKind::from_index(assignment.accel);
 
-            // Per-member true throughputs. Stale assignments (a member
-            // completed but the allocation has not been recomputed yet —
-            // possible under throttled recomputation) idle their workers
-            // for the round.
+            // Per-member true throughputs (the planner only schedules
+            // combos whose members are all live).
             let members: Vec<JobId> = assignment.combo.jobs().collect();
-            if members.iter().any(|id| !self.index.contains_key(id)) {
-                continue;
-            }
             let mut tputs: Vec<f64> = Vec::with_capacity(members.len());
             if members.len() == 2 {
                 let a = &self.active[self.index[&members[0]]];

@@ -68,9 +68,9 @@
 //!   fraction of the last write, corrupt a byte, truncate), derived
 //!   deterministically from a seed, drives [`run_until_crash`] — the
 //!   crash-matrix tests assert that for *every* crash index across
-//!   round-based/fluid/failure/estimated/strict configs, recovery lands
-//!   on the exact durable prefix and resuming the lost suffix converges
-//!   bit-for-bit with the uninterrupted run.
+//!   round-based/fluid/failure/estimated/throttled-failures configs,
+//!   recovery lands on the exact durable prefix and resuming the lost
+//!   suffix converges bit-for-bit with the uninterrupted run.
 //!
 //! # Relation to `gavel-sim`
 //!
@@ -78,14 +78,15 @@
 //! trace into `[AdvanceTo(arrival), Submit(job)]*` plus a final drain,
 //! and feeds the stream to a `SchedulerService`. Trace-driven semantics
 //! (idle fast-forward between arrivals, round quantization, the
-//! simulation cap) live in the service's submit/advance handling, so a
-//! compiled trace is bit-identical to the historical monolithic engine —
-//! the pinned fixed-seed regressions in `gavel-sim` prove it. Two
-//! replay-only legacy behaviors are preserved under default flags and
-//! can be tightened via [`SimConfig::strict_recompute`] (no stale-combo
-//! resurrection under throttled recomputes) and
-//! [`SimConfig::strict_failure_clock`] (failure/repair events process at
-//! their scheduled times during idle fast-forwards).
+//! simulation cap) live in the service's submit/advance handling; the
+//! pinned fixed-seed regressions in `gavel-sim` hold compiled traces to
+//! bit-exact results.
+//!
+//! One rule covers liveness and time: a round plans only combos whose
+//! members are all live (a stale allocation's combo with a departed
+//! member is skipped until the next recompute), and cluster events
+//! (worker failures and repairs) are processed at their scheduled times
+//! while the clock skips an idle gap.
 
 pub mod checkpoint;
 pub mod command;
@@ -114,7 +115,7 @@ pub use recovery::{
     recover, run_until_crash, CrashOutcome, DurableService, MemoryDurableService, RecoveryError,
     RecoveryReport,
 };
-pub use snapshot::{SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION, CROSSCHECK_ENV};
+pub use snapshot::{SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION};
 pub use wal::{
     scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, RecordKind,
     RejectionRecord, TornReason, TornTail, Wal, WalError, WalRecord, WalScan,

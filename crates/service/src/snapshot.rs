@@ -64,9 +64,9 @@
 //! are a prefix of the score bits, so the descending bucket walk refines
 //! into the same global order), is crosschecked against the flat
 //! [`rank_and_cap`] differential oracle when
-//! [`SnapshotCache::set_crosscheck`] or the `GAVEL_SNAPSHOT_CROSSCHECK`
-//! environment variable enables it, and is proptested against fresh
-//! builds across random admit/complete/refine interleavings.
+//! [`SnapshotCache::set_crosscheck`] enables it, and is proptested
+//! against fresh builds across random admit/complete/refine
+//! interleavings.
 //!
 //! Selected pair *rows* are materialized lazily too: the plain-mode
 //! store keeps only scores (a candidate row at 8k jobs would put the
@@ -126,11 +126,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// than this fraction of the resident single-worker jobs drifted since
 /// the last snapshot, re-derive every pair instead of patching.
 pub const BRIDGED_DIRTY_FRACTION: f64 = 0.5;
-
-/// Environment variable that, when set (to anything but `0`), makes
-/// every bucketed selection re-run the flat [`rank_and_cap`]
-/// differential oracle and assert the two orders are identical.
-pub const CROSSCHECK_ENV: &str = "GAVEL_SNAPSHOT_CROSSCHECK";
 
 /// Right-shift applied to a score's IEEE-754 bits to name its bucket.
 /// Keeping the top 24 bits (sign, exponent, 12 mantissa bits) yields a
@@ -570,7 +565,7 @@ impl SnapshotCache {
             selected: Vec::new(),
             selection_dirty: true,
             row_memo: HashMap::new(),
-            crosscheck: std::env::var(CROSSCHECK_ENV).is_ok_and(|v| v != "0"),
+            crosscheck: false,
             flat_rerank: false,
             stats: SnapshotStats::default(),
         }
@@ -627,8 +622,8 @@ impl SnapshotCache {
     }
 
     /// Enables (or disables) crosschecking every bucketed selection
-    /// against the flat [`rank_and_cap`] differential oracle. Also
-    /// enabled by setting the [`CROSSCHECK_ENV`] environment variable.
+    /// against the flat [`rank_and_cap`] differential oracle (off by
+    /// default).
     pub fn set_crosscheck(&mut self, on: bool) {
         self.crosscheck = on;
     }

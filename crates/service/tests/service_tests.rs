@@ -1,9 +1,10 @@
 //! Service-level tests: admission caps and per-entity books, command
 //! rejection paths, query counters, failure/repair injection, the
-//! submission-log text round trip, replay of an interactive session, and
-//! divergence demonstrations for the two strict-semantics flags.
+//! submission-log text round trip, replay of an interactive session, the
+//! stale-combo and idle-gap event rules, and the non-finite allocation
+//! fallback.
 
-use gavel_core::{JobId, Policy};
+use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::MaxMinFairness;
 use gavel_service::{
     replay, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
@@ -317,38 +318,33 @@ fn parse_rejects_malformed_logs() {
     .is_err());
 }
 
-/// `strict_recompute` changes results under throttled recomputation: the
-/// default planner lets a stale allocation resurrect completed jobs'
-/// combos from timeshare history; the strict planner skips them.
+/// Under a throttled recompute cadence a completed job's combo lingers in
+/// the stale allocation for a few rounds; the planner skips it instead of
+/// resurrecting it from the timeshare history. Pinned to the result of
+/// the retired opt-in strict planner on this trace.
 #[test]
-fn strict_recompute_diverges_under_throttled_resets() {
+fn throttled_resets_skip_stale_combos() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 25, 37), &oracle);
     let mut cfg = SimConfig::new(small_cluster());
     cfg.recompute = RecomputeCadence::ThrottledResets(3);
-    let legacy = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.strict_recompute = true;
-    let strict = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    assert_ne!(
-        result_fingerprint(&legacy),
-        result_fingerprint(&strict),
-        "strict recompute should change a throttled-cadence run"
+    let r = run_trace(&MaxMinFairness::new(), &trace, &cfg);
+    assert_eq!(result_fingerprint(&r), 0xe5b3_fa1f_23b9_faf3);
+    // With an unthrottled reset cadence there is no stale window.
+    let r = run_trace(
+        &MaxMinFairness::new(),
+        &trace,
+        &SimConfig::new(small_cluster()),
     );
-    // Sanity: with an unthrottled reset cadence there is no stale window,
-    // so the flag is a no-op.
-    let mut cfg = SimConfig::new(small_cluster());
-    let legacy = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.strict_recompute = true;
-    let strict = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    assert_eq!(result_fingerprint(&legacy), result_fingerprint(&strict));
+    assert_eq!(result_fingerprint(&r), 0x6b1e_c1d2_3bbc_59d4);
 }
 
-/// `strict_failure_clock` changes results when failure events fall into an
-/// idle gap: by default every event due in the gap batches at the next
-/// busy round (repairs land late, failures pile up); strictly, events
-/// process at their scheduled times while the clock skips ahead.
+/// Failure events that fall into an idle gap are processed at their
+/// scheduled times while the clock skips ahead (repairs land on time), not
+/// batched at the next busy round. Pinned to the result of the retired
+/// opt-in strict failure clock on this trace.
 #[test]
-fn strict_failure_clock_diverges_across_idle_gap() {
+fn idle_gap_processes_failures_at_their_times() {
     let policy = MaxMinFairness::new();
     // Job 0 finishes quickly; job 1 arrives ten idle hours later. With a
     // 30-minute MTBF the gap holds ~20 failures whose repairs (1 h
@@ -356,12 +352,34 @@ fn strict_failure_clock_diverges_across_idle_gap() {
     let trace = vec![mk_job(0, 0.0, 100.0, None), mk_job(1, 36_000.0, 1e8, None)];
     let mut cfg = SimConfig::new(cluster_twelve()).with_failures(1800.0, 3600.0);
     cfg.max_seconds = 72_000.0;
-    let legacy = run_trace(&policy, &trace, &cfg);
-    cfg.strict_failure_clock = true;
-    let strict = run_trace(&policy, &trace, &cfg);
-    assert_ne!(
-        result_fingerprint(&legacy),
-        result_fingerprint(&strict),
-        "strict failure clock should change a run with an idle gap"
-    );
+    let r = run_trace(&policy, &trace, &cfg);
+    assert_eq!(result_fingerprint(&r), 0x1f9c_b856_b74f_5fd7);
+}
+
+/// A policy whose `Ok` allocation carries a NaN cell.
+struct NanPolicy;
+
+impl Policy for NanPolicy {
+    fn name(&self) -> &str {
+        "nan"
+    }
+
+    fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
+        let alloc = MaxMinFairness::new().compute_allocation(input)?;
+        let mut values = alloc.values().to_vec();
+        values[0][0] = f64::NAN;
+        Ok(Allocation::new(alloc.combos().clone(), values))
+    }
+}
+
+/// A non-finite `Ok` allocation is a policy failure: the service falls
+/// back to the isolated split and runs the trace to completion.
+#[test]
+fn non_finite_allocation_falls_back() {
+    let oracle = Oracle::new();
+    let trace = generate(&TraceConfig::continuous_single(2.0, 12, 3), &oracle);
+    let r = run_trace(&NanPolicy, &trace, &SimConfig::new(small_cluster()));
+    assert!(r.policy_failures > 0);
+    assert_eq!(r.policy_failures, r.recomputations);
+    assert!(r.jobs.iter().all(|j| j.completion.is_some()));
 }

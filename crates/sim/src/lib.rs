@@ -24,9 +24,8 @@
 //!
 //! Trace-only semantics (idle fast-forward between arrivals, round
 //! quantization of the wake-up, the simulation cap) are part of the
-//! service's submit/advance handling, so compiled traces behave
-//! bit-identically to the historical monolithic engine —
-//! `tests/pinned_regression.rs` pins fixed-seed results for 11 configs
+//! service's submit/advance handling. `tests/pinned_regression.rs` pins
+//! fixed-seed results for 11 configs
 //! (estimated pairs, failures, physical jitter, throttled recomputes
 //! included) and additionally asserts log replay reproduces each pinned
 //! run.
@@ -47,7 +46,7 @@
 //!   per-job pair cap walks buckets in descending order and sorts only
 //!   the still-contested slots, preserving the flat sort's tie-break
 //!   order bit-exactly. The old flat ranking survives as a
-//!   differential oracle behind [`CROSSCHECK_ENV`].
+//!   differential oracle behind [`SnapshotCache::set_crosscheck`].
 //! - **Bridged invalidation.** Estimator-bridged runs (Figure 14) ride
 //!   the same cache in *bridged* mode: every cached pair row is keyed by
 //!   its two members' estimator revisions, each recompute asks the
@@ -79,19 +78,15 @@
 //! - **allocation recomputation cadence** (reset events and/or every N
 //!   rounds),
 //! - **worker failures** (Poisson failures with fixed repair times, both
-//!   treated as reset events),
-//! - **strict semantics** ([`SimConfig::strict_recompute`] /
-//!   [`SimConfig::strict_failure_clock`]: opt-in fixes for two
-//!   replay-era behaviors — stale-combo resurrection under throttled
-//!   recomputes, and failure events batching at the next busy round
-//!   after an idle gap — kept off by default so pinned results hold).
+//!   treated as reset events; events due in an idle gap are processed at
+//!   their scheduled times while the clock skips ahead).
 
 pub mod client;
 
 pub use client::{compile_trace, Simulator};
 pub use gavel_service::{
     EstimatorBridge, FailureConfig, JobOutcome, RecomputeCadence, ServiceStats, SimConfig,
-    SimResult, SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION, CROSSCHECK_ENV,
+    SimResult, SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION,
 };
 
 /// Runs `policy` over `trace` under `config` and returns the metrics.

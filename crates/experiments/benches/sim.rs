@@ -11,12 +11,14 @@
 //!   buffer (same allocation replanned round after round) vs the
 //!   full-extraction path;
 //! - `bridged/*` — the estimator-bridged (Figure 14) recompute: the
-//!   bridged `SnapshotCache` re-deriving only drift-dirtied pair rows vs
-//!   a full estimator-driven rebuild, under a steady refinement trickle;
+//!   bridged `SnapshotCache` re-scoring only the pairs of drift-dirtied
+//!   jobs vs a full estimator-driven rebuild, under a steady refinement
+//!   trickle;
 //! - `bucketed/*` — the score-bucketed candidate store's selection pass
 //!   under churn at 1024 and 4096 jobs vs the flat `rank_and_cap`
-//!   re-rank (the pre-bucketed implementation, kept as the differential
-//!   oracle behind `set_flat_rerank`).
+//!   re-rank (the pre-bucketed implementation, kept in
+//!   `gavel_experiments::flat_rank`): the flat side runs the same churn
+//!   step and snapshot, then ranks the cache's `pair_candidates()`.
 //!
 //! Gates (panics, run by CI at smoke scale):
 //!
@@ -25,15 +27,13 @@
 //!   oracle-backed path cannot fall back to a rebuild by construction
 //!   (`snapshot()` refuses bridged caches outright), so its regression
 //!   gates are this speedup plus the row-for-row identity check;
-//! - the bridged path must see exactly one full re-derivation (initial
-//!   population) and zero unexpected ones, and beat the estimator-driven
-//!   full rebuild by ≥ 2x at 1024+ jobs while estimates keep drifting;
+//! - the bridged path must score each pair once at population, re-score
+//!   at most (dirtied jobs) × n pairs per trickle snapshot, and beat the
+//!   estimator-driven full rebuild by ≥ 2x at 1024+ jobs while estimates
+//!   keep drifting;
 //! - the bucketed selection must beat the flat re-rank by ≥ 5x at 4096
-//!   jobs under churn, its snapshots must stay row-for-row identical to
-//!   the flat path's, and the bucketed cache must record **zero**
-//!   flat re-ranks (`SnapshotStats::flat_reranks`) — a nonzero count
-//!   means the production path silently fell back to the O(n² log n²)
-//!   sort;
+//!   jobs under churn, and its snapshots must stay row-for-row identical
+//!   to the flat selection's pairs and rows;
 //! - cached and fresh snapshots (oracle and bridged) must be row-for-row
 //!   identical, and cached and fresh round plans
 //!   assignment-for-assignment identical, on every sized instance.
@@ -43,12 +43,14 @@
 //! location with `GAVEL_BENCH_JSON`.
 
 use criterion::{BenchmarkId, Criterion};
-use gavel_core::{Allocation, ComboSet, JobId, PolicyJob};
+use gavel_core::{Allocation, Combo, ComboSet, JobId, PolicyJob};
 use gavel_estimator::EstimatorConfig;
+use gavel_experiments::flat_rank::flat_selection;
 use gavel_sched::RoundScheduler;
-use gavel_sim::{EstimatorBridge, SnapshotCache, BRIDGED_DIRTY_FRACTION};
+use gavel_sim::{EstimatorBridge, SnapshotCache};
 use gavel_workloads::{
-    build_tensor_with_pairs, cluster_scaled, JobConfig, JobSpec, Oracle, PairOptions,
+    build_tensor_with_pairs, cluster_scaled, pair_candidate, JobConfig, JobSpec, Oracle,
+    PairOptions,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -209,7 +211,7 @@ fn bench_churn(c: &mut Criterion) {
 }
 
 /// Estimator-bridged recompute under a steady refinement trickle: the
-/// bridged cache re-derives only the pair rows whose members drifted
+/// bridged cache re-scores only the pairs whose members drifted
 /// (a few `observe` feedbacks per recompute, like a scheduling round
 /// actually running a handful of colocated pairs) vs the old full
 /// estimator-driven rebuild.
@@ -220,7 +222,7 @@ fn bench_bridged(c: &mut Criterion) {
         let oracle = Oracle::new();
         let opts = opts();
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 17);
-        let mut cache = SnapshotCache::new_bridged(true, opts, BRIDGED_DIRTY_FRACTION);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         let mut specs = Vec::with_capacity(n);
         for i in 0..n as u64 {
             let s = spec(i);
@@ -232,10 +234,13 @@ fn bench_bridged(c: &mut Criterion) {
             b.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g)
         };
 
-        // Initial population derives every pair once: the one expected
-        // full re-derivation.
+        // Initial population scores every pair exactly once.
         cache.snapshot_bridged(&oracle, &bridge);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 1, "population at {n}");
+        assert_eq!(
+            cache.stats().pair_evals,
+            n * (n - 1) / 2,
+            "population at {n}"
+        );
 
         // Correctness gate: row-for-row identity with a fresh
         // estimator-driven rebuild after some drift.
@@ -282,6 +287,23 @@ fn bench_bridged(c: &mut Criterion) {
                 turn += 7;
             }
         };
+
+        // Work gate: a trickle snapshot re-scores at most the pairs
+        // touching the jobs its drift dirtied.
+        for _ in 0..5 {
+            let epoch = bridge.clock();
+            drift(&mut bridge);
+            let dirtied = bridge.dirty_since(epoch).len();
+            let evals = cache.stats().pair_evals;
+            cache.snapshot_bridged(&oracle, &bridge);
+            let rescored = cache.stats().pair_evals - evals;
+            assert!(dirtied > 0, "the trickle must dirty some job at {n}");
+            assert!(
+                rescored <= dirtied * n,
+                "trickle snapshot re-scored {rescored} pairs for {dirtied} dirtied jobs at {n}"
+            );
+        }
+
         if n >= 1024 {
             let cached = median_secs(3, || {
                 drift(&mut bridge);
@@ -327,72 +349,67 @@ fn bench_bridged(c: &mut Criterion) {
                 )
             })
         });
-
-        // Zero unexpected full re-derivations: the steady state stays on
-        // the partial path no matter how much the estimates drifted.
-        assert_eq!(
-            cache.stats().bridged_full_rebuilds,
-            1,
-            "unexpected bridged full rebuild at {n} jobs"
-        );
-        assert!(cache.stats().bridged_partial_rebuilds > 0);
+        assert!(cache.stats().bridged_snapshots > 0);
     }
     group.finish();
 }
 
 /// The score-bucketed store vs the flat `rank_and_cap` re-rank, under
-/// the same completion + arrival churn as `churn/*`. Both caches run the
-/// identical workload; the flat one is routed through the differential
-/// oracle via `set_flat_rerank(true)`.
+/// the same completion + arrival churn as `churn/*`. The flat side runs
+/// the identical churn step and snapshot (the snapshot scores the
+/// arrival's pairs), then ranks every candidate of the cache through
+/// `flat_selection`.
 fn bench_bucketed(c: &mut Criterion) {
     let mut group = c.benchmark_group("bucketed");
     group.sample_size(10);
+    let cap = opts().max_pairs_per_job;
     for &n in &[1024usize, 4096] {
         let (mut cache, _specs, oracle) = populated(n, opts());
-        let mut flat_cache = cache.clone();
-        flat_cache.set_flat_rerank(true);
         let mut next_id = n as u64;
         let mut victim = 0usize;
-
-        // Identity gate: after identical churn, the bucketed and flat
-        // selections assemble row-for-row identical snapshots.
-        for _ in 0..3 {
+        let mut churn = |cache: &mut SnapshotCache| {
             victim = (victim + 17) % cache.len();
             cache.remove(victim);
-            flat_cache.remove(victim);
             let s = spec(next_id);
             next_id += 1;
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            let (bc, bt) = cache.snapshot(&oracle);
-            let (fc, ft) = flat_cache.snapshot(&oracle);
+            cache.snapshot(&oracle)
+        };
+
+        // Identity gate: after churn, the bucketed snapshot emits exactly
+        // the flat selection's pairs, in its order, with its rows.
+        for _ in 0..3 {
+            let (combos, tensor) = churn(&mut cache);
+            let flat = flat_selection(&cache, cap);
+            let specs: HashMap<JobId, JobSpec> = cache.specs().iter().map(|s| (s.id, *s)).collect();
+            let singles = cache.len();
             assert_eq!(
-                bc.combos(),
-                fc.combos(),
-                "bucketed selection diverges from flat at {n}"
+                combos.combos().len(),
+                singles + flat.len(),
+                "bucketed selection size diverges from flat at {n}"
             );
-            for k in 0..bt.num_rows() {
-                assert_eq!(bt.row(k), ft.row(k), "bucketed row {k} diverges at {n}");
+            for (k, &(a, b)) in flat.iter().enumerate() {
+                assert_eq!(
+                    combos.combos()[singles + k],
+                    Combo::pair(a, b),
+                    "bucketed selection diverges from flat at {n}"
+                );
+                assert_eq!(
+                    tensor.row(singles + k),
+                    pair_candidate(&oracle, &specs[&a], &specs[&b]).1,
+                    "bucketed row {k} diverges at {n}"
+                );
             }
         }
 
         // Speedup gate at 4096 jobs: the tentpole claim. One completion +
         // one arrival between recomputes, bucketed walk vs global sort.
         let bucketed = median_secs(3, || {
-            victim = (victim + 17) % cache.len();
-            cache.remove(victim);
-            let s = spec(next_id);
-            next_id += 1;
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            criterion::black_box(cache.snapshot(&oracle));
+            criterion::black_box(churn(&mut cache));
         });
         let flat = median_secs(3, || {
-            victim = (victim + 17) % flat_cache.len();
-            flat_cache.remove(victim);
-            let s = spec(next_id);
-            next_id += 1;
-            flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            criterion::black_box(flat_cache.snapshot(&oracle));
+            criterion::black_box(churn(&mut cache));
+            criterion::black_box(flat_selection(&cache, cap));
         });
         if n >= 4096 {
             assert!(
@@ -408,35 +425,15 @@ fn bench_bucketed(c: &mut Criterion) {
         );
 
         group.bench_with_input(BenchmarkId::new("bucketed", n), &n, |b, _| {
-            b.iter(|| {
-                victim = (victim + 17) % cache.len();
-                cache.remove(victim);
-                let s = spec(next_id);
-                next_id += 1;
-                cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-                cache.snapshot(&oracle)
-            })
+            b.iter(|| churn(&mut cache))
         });
         group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
             b.iter(|| {
-                victim = (victim + 17) % flat_cache.len();
-                flat_cache.remove(victim);
-                let s = spec(next_id);
-                next_id += 1;
-                flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-                flat_cache.snapshot(&oracle)
+                churn(&mut cache);
+                flat_selection(&cache, cap)
             })
         });
-
-        // Zero unexpected full re-ranks: the production bucketed path
-        // never touches the flat sort.
-        assert_eq!(
-            cache.stats().flat_reranks,
-            0,
-            "bucketed cache fell back to the flat re-rank at {n} jobs"
-        );
         assert!(cache.stats().bucketed_selections > 0);
-        assert!(flat_cache.stats().flat_reranks > 0);
     }
     group.finish();
 }

@@ -7,6 +7,7 @@
 //! preserving the paper's qualitative shape.
 
 pub mod figs;
+pub mod flat_rank;
 
 use gavel_core::Policy;
 use gavel_sim::{SimConfig, SimResult};

@@ -43,7 +43,7 @@
 //! (see the determinism contract in `gavel_par`).
 
 use crate::common::{check_input, equal_share_throughput, solve_with_cache, solver_err, AllocLp};
-use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
+use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
 
 /// Number of static shards the per-job probe LPs are split across. A fixed
@@ -688,9 +688,4 @@ impl Policy for Hierarchical {
         self.compute_allocation_with_stats(input)
             .map(|(alloc, _stats)| alloc)
     }
-}
-
-/// Identifier re-export used in experiment labels.
-pub fn job_label(id: JobId) -> String {
-    id.to_string()
 }

@@ -28,7 +28,7 @@ use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
 use crate::metrics::{EntityCounters, JobOutcome, ServiceStats, SimResult};
-use crate::snapshot::{SnapshotCache, BRIDGED_DIRTY_FRACTION};
+use crate::snapshot::SnapshotCache;
 use gavel_core::{
     refs, AccelIdx, Allocation, ComboSet, EntityId, JobId, Policy, PolicyInput, PolicyJob,
     ThroughputTensor,
@@ -238,15 +238,11 @@ impl<'p> SchedulerService<'p> {
             None
         };
         let want_pairs = policy.wants_space_sharing() && config.pairs.is_some();
-        // Bridged runs cache per-pair estimated rows keyed by estimator
-        // revisions; the oracle-backed path keeps its admission-time
-        // candidates. Either way, no recompute pays the O(n²) sweep.
+        // Estimated runs re-score the pairs of jobs whose estimates
+        // drifted; oracle-backed runs score each pair once. Either way, no
+        // recompute pays the O(n²) sweep.
         let cache = match (&bridge, config.pairs) {
-            (Some(_), Some(pairs)) => SnapshotCache::new_bridged(
-                config.assume_consolidated,
-                pairs,
-                BRIDGED_DIRTY_FRACTION,
-            ),
+            (Some(_), Some(pairs)) => SnapshotCache::new_bridged(config.assume_consolidated, pairs),
             _ => SnapshotCache::new(
                 config.assume_consolidated,
                 if want_pairs { config.pairs } else { None },

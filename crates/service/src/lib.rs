@@ -115,7 +115,7 @@ pub use recovery::{
     recover, run_until_crash, CrashOutcome, DurableService, MemoryDurableService, RecoveryError,
     RecoveryReport,
 };
-pub use snapshot::{SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION};
+pub use snapshot::{SnapshotCache, SnapshotStats};
 pub use wal::{
     scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, RecordKind,
     RejectionRecord, TornReason, TornTail, Wal, WalError, WalRecord, WalScan,

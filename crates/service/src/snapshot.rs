@@ -3,34 +3,54 @@
 //! Every allocation recomputation needs three parallel structures: the
 //! [`ComboSet`] of schedulable rows, the [`ThroughputTensor`] with one row
 //! per combo, and the [`PolicyJob`] vector. Rebuilding them from scratch
-//! costs O(n²) oracle lookups per recompute once pair rows are enabled
+//! costs O(n²) pair evaluations per recompute once pair rows are enabled
 //! (`build_tensor_with_pairs` scores every job pair); with reset-event
 //! recomputation that cost is paid on *every* arrival and completion.
 //!
 //! [`SnapshotCache`] keeps all three alive across recomputes and applies
-//! deltas instead:
+//! deltas instead. Pair throughputs come either from the oracle
+//! ([`SnapshotCache::snapshot`]) or from the §6 estimator
+//! ([`SnapshotCache::snapshot_bridged`] on a cache built with
+//! [`SnapshotCache::new_bridged`], Figure 14); both modes share one pair
+//! store and one sync protocol:
 //!
-//! - **admit** computes the arriving job's singleton row once, plus one
-//!   pair-candidate *score* against each resident single-worker job —
-//!   O(n) oracle work instead of O(n²);
-//! - **remove** drops the completed job's rows and candidates in
+//! - **admit** appends the arriving job's singleton row and, for a
+//!   single-worker job, marks it *fresh*; no pair is scored yet;
+//! - **remove** drops the job's rows and unlinks its pair candidates in
 //!   O(degree) through a per-job reverse index;
-//! - **snapshot** assembles the combo set and tensor from the cached
-//!   rows, selecting pair rows through the score-bucketed store below.
+//! - **snapshot** syncs, selects and assembles:
+//!   1. the work set W is the fresh jobs still resident plus, in
+//!      estimated mode, the resident jobs whose estimator state changed
+//!      since the last sync ([`EstimatorBridge::dirty_since`]);
+//!   2. every job in W has its candidates unlinked, and every pair
+//!      touching W is scored exactly once (the oracle's `pair_score`, or
+//!      the bridge's `pair_candidate_by` score); pairs that clear the
+//!      pruning threshold are inserted into the store. O(|W| · n) pair
+//!      evaluations, and none at all when W is empty;
+//!   3. the bucketed selection below picks the pairs under the per-job
+//!      cap (memoized while no admit, remove or W changed anything);
+//!   4. rows are built for the selected slots only and memoized per slot
+//!      until the slot is deselected or freed.
+//!
+//! The assembled snapshot is **row-for-row bitwise identical** to a fresh
+//! `build_tensor_with_pairs[_by]` / `build_singleton_tensor` run over the
+//! same jobs (and, in estimated mode, the same estimator state). A pair
+//! that was not re-scored has two members whose estimator state did not
+//! change since it was scored (a change would have put a member in W), so
+//! its score, and the row derived from it at selection time, are the ones
+//! the fresh builder computes now.
 //!
 //! # The score-bucketed candidate store
 //!
 //! At 2048+ jobs the cache holds ~n²/2 above-threshold pair candidates,
 //! and re-ranking all of them per recompute (a `u128`-keyed global sort)
-//! dominates recompute latency. [`PairStore`] replaces the flat candidate
-//! vector with coarse *score buckets*: every candidate lives in the
-//! bucket named by the top [`BUCKET_SHIFT`]-truncated bits of its score's
-//! IEEE-754 pattern (an exponent-plus-leading-mantissa bin), so bucket
-//! order *is* score order and a candidate's bucket never depends on any
-//! other candidate. Churn is local: admissions insert into buckets in
-//! O(1) per candidate, completions unlink a job's candidates in
-//! O(degree), and a bridged re-derivation migrates one slot between
-//! buckets in O(log #buckets) instead of invalidating a global order.
+//! would dominate recompute latency. [`PairStore`] keeps candidates in
+//! coarse *score buckets*: every candidate lives in the bucket named by
+//! the top [`BUCKET_SHIFT`]-truncated bits of its score's IEEE-754
+//! pattern (an exponent-plus-leading-mantissa bin), so bucket order *is*
+//! score order and a candidate's bucket never depends on any other
+//! candidate. Churn is local: inserts are O(1) per candidate and unlinking
+//! a job's candidates is O(degree).
 //!
 //! **Lazy materialization rule.** Selection walks buckets in descending
 //! score order. Inside each bucket it first *filters* candidates down to
@@ -41,13 +61,10 @@
 //! materialized only inside the buckets the cap still contests, and the
 //! walk stops entirely once fewer than two jobs remain both uncapped and
 //! unexhausted. Cost per pass is O(live candidates) array reads plus
-//! O(contested · log contested) sorting, instead of O(n² log n²); under
-//! churn the dirty work is O(|dirty| · n) score evaluations plus that
-//! contested tail.
+//! O(contested · log contested) sorting, instead of O(n² log n²).
 //!
-//! **Tie-break contract.** The fresh builder
-//! (`build_tensor_with_pairs[_by]`) stable-sorts candidates by score
-//! descending, so equal-scoring pairs keep their (i, k) enumeration
+//! **Tie-break contract.** The fresh builder stable-sorts candidates by
+//! score descending, so equal-scoring pairs keep their (i, k) enumeration
 //! order *in the current job vector* — positions change as completions
 //! `swap_remove` jobs. The cache reproduces that exact total order as a
 //! single `u128` key per candidate:
@@ -59,60 +76,12 @@
 //! sorted ascending. Scores are nonnegative and finite (debug-asserted),
 //! so complemented IEEE bits order exactly inverse to the values; the
 //! (i, k) suffix reproduces the stable sort's enumeration order for
-//! ties. The greedy per-job cap is then applied in that order. This
-//! contract is preserved bit-exactly by the bucketed store (bucket ids
+//! ties. The greedy per-job cap is then applied in that order. Bucket ids
 //! are a prefix of the score bits, so the descending bucket walk refines
-//! into the same global order), is crosschecked against the flat
-//! [`rank_and_cap`] differential oracle when
-//! [`SnapshotCache::set_crosscheck`] enables it, and is proptested
-//! against fresh builds across random admit/complete/refine
-//! interleavings.
-//!
-//! Selected pair *rows* are materialized lazily too: the plain-mode
-//! store keeps only scores (a candidate row at 8k jobs would put the
-//! full store in the tens of GBs), and [`SnapshotCache::snapshot`]
-//! re-derives rows just for the ~n selected pairs, memoized while a pair
-//! stays selected. The assembled snapshot remains **row-for-row bitwise
-//! identical** to a fresh `build_tensor_with_pairs` /
-//! `build_singleton_tensor` run over the same jobs.
-//!
-//! # Bridged (estimated) invalidation protocol
-//!
-//! Estimated pair throughputs (Figure 14) drift as the estimator refines,
-//! so a pair row derived from the bridge is only valid as long as neither
-//! member's estimator state has changed. A cache in *bridged* mode
-//! ([`SnapshotCache::new_bridged`]) makes that validity explicit instead
-//! of assumed-global:
-//!
-//! - every cached pair entry is keyed by the two jobs' **estimator
-//!   revisions** (monotone per-job stamps from the estimator's global
-//!   change clock) at derivation time;
-//! - the cache remembers the estimator **clock epoch** of its last sync;
-//!   at each [`SnapshotCache::snapshot_bridged`] it asks the bridge for
-//!   the set of jobs whose state changed since that epoch (the *dirty
-//!   set*), unions in jobs admitted since the last snapshot (whose pair
-//!   entries do not exist yet), and re-derives **only the pair rows
-//!   touching those jobs** — O(|dirty| · n) bridge evaluations instead of
-//!   O(n²). Each re-derived entry *migrates* between score buckets
-//!   (insert / score-update / unlink, depending on how the new score
-//!   sits against the pruning threshold) rather than triggering a global
-//!   re-rank;
-//! - when the dirty set exceeds a configurable fraction of the resident
-//!   single-worker jobs (`dirty_fraction`, [`BRIDGED_DIRTY_FRACTION`] by
-//!   default), partial re-derivation would cost as much as starting over,
-//!   so the cache falls back to a full re-derivation of every pair (the
-//!   bucket store is rebuilt from scratch) — counted separately in
-//!   [`SnapshotStats::bridged_full_rebuilds`] so benches and CI can gate
-//!   on the steady state staying partial.
-//!
-//! Below-threshold pairs keep a scoreless entry (row and bucket slot are
-//! re-derived if the pair ever drifts back above the threshold), and the
-//! assembled bridged snapshot reuses the same
-//! bucketed selection as the oracle path, so it is row-for-row bitwise
-//! identical to a fresh estimator-driven `build_tensor_with_pairs_by`
-//! rebuild at the same estimator state (proptested under random
-//! admit/complete/refine interleavings, including past the fallback
-//! threshold).
+//! into the same global order, and the key depends only on the score and
+//! the current positions — never on when or in which slot a candidate
+//! was inserted. Proptests check every step of random admit/complete
+//! (and, estimated, refine) interleavings against the fresh builders.
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
@@ -120,18 +89,13 @@ use gavel_workloads::{
     pair_candidate, pair_candidate_by, pair_score, singleton_row, GpuKind, JobSpec, Oracle,
     PairOptions,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// Default dirty-set fallback threshold for bridged caches: when more
-/// than this fraction of the resident single-worker jobs drifted since
-/// the last snapshot, re-derive every pair instead of patching.
-pub const BRIDGED_DIRTY_FRACTION: f64 = 0.5;
+use std::collections::{BTreeMap, HashMap};
 
 /// Right-shift applied to a score's IEEE-754 bits to name its bucket.
 /// Keeping the top 24 bits (sign, exponent, 12 mantissa bits) yields a
 /// few hundred buckets over the realistic score range — coarse enough
-/// that bucket membership almost never changes under estimate drift,
-/// fine enough that contested buckets stay small.
+/// that the bucket map stays small, fine enough that contested buckets
+/// stay short.
 const BUCKET_SHIFT: u32 = 40;
 
 /// Sentinel for "no position / dead handle".
@@ -163,7 +127,7 @@ struct BucketEntry {
     slot: u32,
     ha: u32,
     hb: u32,
-    /// Mirrors `Slot::score`; `update_score` keeps both in sync.
+    /// Mirrors `Slot::score`.
     score: f64,
 }
 
@@ -296,61 +260,16 @@ impl PairStore {
         }
     }
 
-    /// Re-scores `s`, migrating it between buckets when the new score
-    /// lands in a different bin — the bridged drift path.
-    fn update_score(&mut self, s: u32, score: f64) {
-        debug_assert!(
-            score >= 0.0 && score.is_finite(),
-            "bucketed candidate scores must be nonnegative finite, got {score}"
-        );
-        let sl = self.slots[s as usize];
-        if Self::bucket_of(sl.score) != Self::bucket_of(score) {
-            self.unlink_bucket(s);
-            let bvec = self.buckets.entry(Self::bucket_of(score)).or_default();
-            self.slots[s as usize].bucket_pos = bvec.len() as u32;
-            bvec.push(BucketEntry {
-                slot: s,
-                ha: sl.ha,
-                hb: sl.hb,
-                score,
-            });
-        } else {
-            // Same bin: refresh the bucket-resident score copy in place.
-            let bvec = self
-                .buckets
-                .get_mut(&Self::bucket_of(sl.score))
-                .expect("slot bucket missing");
-            bvec[sl.bucket_pos as usize].score = score;
-        }
-        self.slots[s as usize].score = score;
-    }
-
-    /// Drops every candidate but keeps the handle lists allocated — the
-    /// bridged full-rebuild path.
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.buckets.clear();
-        for l in &mut self.job_slots {
-            l.clear();
-        }
-        self.live = 0;
-    }
-
-    fn live_slots(&self) -> impl Iterator<Item = (u32, &Slot)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, sl)| sl.ha != NONE32)
-            .map(|(s, sl)| (s as u32, sl))
+    fn live_slots(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.slots.iter().filter(|sl| sl.ha != NONE32)
     }
 
     /// The bucketed selection pass: walks buckets in descending score
     /// order, lazily materializing the exact tie-break order only for
     /// candidates the per-job cap still contests (see the module docs),
     /// and stops once fewer than two jobs remain both uncapped and
-    /// unexhausted. Returns selected slot ids in emission order —
-    /// bit-identical to the flat [`rank_and_cap`] over the same slots.
+    /// unexhausted. Returns selected slot ids in emission order — the
+    /// fresh builder's greedy over the same candidates.
     fn select(&self, handle_pos: &[u32], cap: usize, stats: &mut SnapshotStats) -> Vec<u32> {
         let mut selected = Vec::new();
         if cap == 0 || self.live == 0 {
@@ -431,81 +350,36 @@ impl PairStore {
     }
 }
 
-/// A cached estimator-derived pair, keyed by the estimator revisions of
-/// its two members at derivation time (`None` = unregistered, whose class
-/// estimate is static). The dirty-set protocol alone guarantees entries
-/// are never stale, so the revision key is materialized only in debug
-/// builds, where assembly re-checks it against the live bridge — at
-/// 2048 jobs the cache holds ~2M entries and release builds should not
-/// pay ~32 bytes each for an assert-only field.
-#[derive(Debug, Clone)]
-struct BridgedEntry {
-    #[cfg(debug_assertions)]
-    revs: (Option<u64>, Option<u64>),
-    /// Pair row in canonical (low `JobId`, high `JobId`) order; kept only
-    /// while the score clears the pruning threshold.
-    row: Option<Vec<PairThroughput>>,
-    /// This entry's slot in the bucketed store — present exactly while
-    /// the score clears the pruning threshold.
-    slot: Option<u32>,
-}
-
-/// Bridged-mode state: the per-pair estimate cache and its sync epoch.
-#[derive(Debug, Clone)]
-struct BridgedPairs {
-    opts: PairOptions,
-    dirty_fraction: f64,
-    /// Canonical (low `JobId`, high `JobId`) → cached entry.
-    entries: HashMap<(JobId, JobId), BridgedEntry>,
-    /// Per-job partner index so `remove` drops a job's entries without
-    /// scanning the whole map.
-    partners: HashMap<JobId, HashSet<JobId>>,
-    /// Estimator clock at the last snapshot sync.
-    epoch: u64,
-    /// Single-worker jobs admitted since the last snapshot — their pair
-    /// entries do not exist yet.
-    fresh: Vec<JobId>,
-    /// Memoized assembled pair selection (entry keys in emission order),
-    /// valid while `selection_dirty` is false.
-    selected: Vec<(JobId, JobId)>,
-}
-
 /// Counters making the incremental path observable (and gateable).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Oracle-backed snapshots served from cached rows.
+    /// Oracle-backed snapshots ([`SnapshotCache::snapshot`]).
     pub incremental_snapshots: usize,
-    /// Bridged snapshots that re-derived only dirty/fresh pair rows (or
-    /// none at all) — the steady-state estimated path.
-    pub bridged_partial_rebuilds: usize,
-    /// Bridged snapshots that re-derived every pair because the dirty set
-    /// exceeded the fallback threshold (expected only at initial
-    /// population or after estimate-drift bursts).
-    pub bridged_full_rebuilds: usize,
-    /// Pair-score evaluations performed (oracle at admission, or bridge
-    /// at bridged re-derivation).
+    /// Estimated snapshots ([`SnapshotCache::snapshot_bridged`] on a
+    /// bridged cache).
+    pub bridged_snapshots: usize,
+    /// Pair-score evaluations performed at sync (oracle or bridge).
     pub pair_evals: usize,
     /// Singleton rows appended (admissions).
     pub rows_appended: usize,
     /// Singleton rows dropped (completions).
     pub rows_dropped: usize,
-    /// Bucketed selection passes (plain and bridged).
+    /// Bucketed selection passes.
     pub bucketed_selections: usize,
     /// Buckets visited across all bucketed selection passes.
     pub buckets_walked: usize,
     /// Candidates whose exact tie-break order was lazily materialized
     /// (filtered into a contested bucket's sort) across all passes.
     pub candidates_sorted: usize,
-    /// Flat [`rank_and_cap`] runs — the differential-oracle crosscheck
-    /// or the explicit flat fallback. Zero on the production bucketed
-    /// path; benches and CI gate on that.
+    /// Always 0: the cache has no flat re-rank path. Kept so existing
+    /// readers of the counter keep compiling.
     pub flat_reranks: usize,
-    /// Pair rows materialized for selected candidates (plain mode).
+    /// Pair rows materialized for newly selected candidates.
     pub pair_rows_materialized: usize,
 }
 
 /// Persistent combo/tensor/job state, updated by deltas on admit and
-/// complete (see the module docs).
+/// complete and synced at each snapshot (see the module docs).
 ///
 /// The cache's job order mirrors the engine's active-job vector: callers
 /// must `admit` on arrival and `remove(i)` with the same `swap_remove`
@@ -515,8 +389,9 @@ pub struct SnapshotCache {
     consolidated: bool,
     /// Pair generation options; `None` = singleton-only snapshots.
     pairs: Option<PairOptions>,
-    /// Bridged (estimated) pair state; mutually exclusive with `pairs`.
-    bridged: Option<BridgedPairs>,
+    /// Estimator clock at the last sync; `Some` exactly for bridged
+    /// (estimated) caches.
+    bridged_epoch: Option<u64>,
     specs: Vec<JobSpec>,
     singleton_rows: Vec<Vec<PairThroughput>>,
     policy_jobs: Vec<PolicyJob>,
@@ -527,22 +402,21 @@ pub struct SnapshotCache {
     /// `JobId` of each handle (stale once freed).
     handle_ids: Vec<JobId>,
     free_handles: Vec<u32>,
-    /// The score-bucketed candidate store (plain and bridged modes).
+    /// Handles of single-worker jobs admitted since the last sync. May
+    /// repeat a handle or name one that died (or was reused) since; the
+    /// sync filters both.
+    fresh: Vec<u32>,
+    /// The score-bucketed candidate store.
     store: PairStore,
     /// Memoized selection (slot ids in emission order), valid while no
-    /// admit/remove/drift has happened since it was computed — so
+    /// remove or non-empty sync has happened since it was computed — so
     /// cadence-driven recomputes over an unchanged job set skip the
     /// selection pass entirely.
     selected: Vec<u32>,
     selection_dirty: bool,
-    /// Lazily materialized rows for the currently selected plain-mode
-    /// pairs, canonically keyed; pruned as selections and jobs churn.
-    row_memo: HashMap<(JobId, JobId), Vec<PairThroughput>>,
-    /// Assert every bucketed selection against [`rank_and_cap`].
-    crosscheck: bool,
-    /// Route selection through the flat [`rank_and_cap`] instead of the
-    /// bucketed walk — the bench comparator.
-    flat_rerank: bool,
+    /// Rows of the selected slots, keyed by slot id; an entry is dropped
+    /// when its slot is deselected or freed.
+    rows: HashMap<u32, Vec<PairThroughput>>,
     stats: SnapshotStats,
 }
 
@@ -553,7 +427,7 @@ impl SnapshotCache {
         SnapshotCache {
             consolidated,
             pairs,
-            bridged: None,
+            bridged_epoch: None,
             specs: Vec::new(),
             singleton_rows: Vec::new(),
             policy_jobs: Vec::new(),
@@ -561,33 +435,24 @@ impl SnapshotCache {
             handle_pos: Vec::new(),
             handle_ids: Vec::new(),
             free_handles: Vec::new(),
+            fresh: Vec::new(),
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
-            row_memo: HashMap::new(),
-            crosscheck: false,
-            flat_rerank: false,
+            rows: HashMap::new(),
             stats: SnapshotStats::default(),
         }
     }
 
-    /// Creates an empty cache in bridged (estimated) mode: pair rows come
-    /// from an [`EstimatorBridge`] at [`Self::snapshot_bridged`] time and
-    /// are invalidated per job via estimator revisions (see the module
-    /// docs). `dirty_fraction` sets the fallback threshold
-    /// ([`BRIDGED_DIRTY_FRACTION`] is the engine's default).
-    pub fn new_bridged(consolidated: bool, opts: PairOptions, dirty_fraction: f64) -> Self {
-        let mut cache = SnapshotCache::new(consolidated, None);
-        cache.bridged = Some(BridgedPairs {
-            opts,
-            dirty_fraction,
-            entries: HashMap::new(),
-            partners: HashMap::new(),
-            epoch: 0,
-            fresh: Vec::new(),
-            selected: Vec::new(),
-        });
-        cache
+    /// Creates an empty cache in bridged (estimated) mode: pair scores and
+    /// rows come from an [`EstimatorBridge`] at [`Self::snapshot_bridged`]
+    /// time, re-derived for the jobs whose estimates drifted (see the
+    /// module docs).
+    pub fn new_bridged(consolidated: bool, opts: PairOptions) -> Self {
+        SnapshotCache {
+            bridged_epoch: Some(0),
+            ..SnapshotCache::new(consolidated, Some(opts))
+        }
     }
 
     /// Number of resident jobs.
@@ -621,25 +486,8 @@ impl SnapshotCache {
         self.stats
     }
 
-    /// Enables (or disables) crosschecking every bucketed selection
-    /// against the flat [`rank_and_cap`] differential oracle (off by
-    /// default).
-    pub fn set_crosscheck(&mut self, on: bool) {
-        self.crosscheck = on;
-    }
-
-    /// Routes every selection through the flat [`rank_and_cap`] instead
-    /// of the bucketed walk. This is the differential-oracle fallback the
-    /// `bucketed` bench group measures the store against; production
-    /// paths leave it off (gated via [`SnapshotStats::flat_reranks`]).
-    pub fn set_flat_rerank(&mut self, on: bool) {
-        if self.flat_rerank != on {
-            self.selection_dirty = true;
-        }
-        self.flat_rerank = on;
-    }
-
-    /// Number of live pair candidates in the bucketed store.
+    /// Number of live pair candidates in the bucketed store (as of the
+    /// last snapshot: admissions are scored at the next sync).
     pub fn candidate_count(&self) -> usize {
         self.store.live
     }
@@ -648,6 +496,19 @@ impl SnapshotCache {
     /// the completion cost through the reverse index is O(this).
     pub fn candidate_degree(&self, i: usize) -> usize {
         self.store.degree(self.handles[i])
+    }
+
+    /// The live pair candidates as `(JobId, JobId, score)`, in slot
+    /// order, as of the last snapshot. Read-only access for comparators
+    /// that rank the candidates some other way.
+    pub fn pair_candidates(&self) -> impl Iterator<Item = (JobId, JobId, f64)> + '_ {
+        self.store.live_slots().map(|sl| {
+            (
+                self.handle_ids[sl.ha as usize],
+                self.handle_ids[sl.hb as usize],
+                sl.score,
+            )
+        })
     }
 
     fn alloc_handle(&mut self, id: JobId) -> u32 {
@@ -666,58 +527,32 @@ impl SnapshotCache {
         }
     }
 
-    fn slot_ids(&self, s: u32) -> (JobId, JobId) {
-        let sl = &self.store.slots[s as usize];
-        (
-            self.handle_ids[sl.ha as usize],
-            self.handle_ids[sl.hb as usize],
-        )
+    fn spec_of(&self, h: u32) -> JobSpec {
+        self.specs[self.handle_pos[h as usize] as usize]
     }
 
-    /// Admits a job: computes its singleton row and, when pairs are
-    /// enabled and the job is single-worker, one candidate *score*
-    /// against every resident single-worker job (rows are materialized
-    /// lazily at selection time). In bridged mode pair derivation is
-    /// deferred to [`Self::snapshot_bridged`] (the job is recorded as
-    /// fresh).
+    /// Admits a job: appends its singleton row and, when pairs are
+    /// enabled and the job is single-worker, marks it fresh so the next
+    /// snapshot scores its pairs.
     pub fn admit(&mut self, oracle: &Oracle, spec: JobSpec, job: PolicyJob) {
         debug_assert_eq!(spec.id, job.id, "spec/job identity mismatch");
         self.singleton_rows
             .push(singleton_row(oracle, &spec, self.consolidated));
         self.stats.rows_appended += 1;
         let h = self.alloc_handle(spec.id);
-        if let Some(opts) = self.pairs {
-            if spec.scale_factor == 1 {
-                for j in 0..self.specs.len() {
-                    let other = self.specs[j];
-                    if other.scale_factor != 1 {
-                        continue;
-                    }
-                    let score = pair_score(oracle, &other, &spec);
-                    self.stats.pair_evals += 1;
-                    if score >= opts.min_aggregate {
-                        self.store.insert(self.handles[j], h, score);
-                    }
-                }
-            }
-        }
-        if let Some(br) = self.bridged.as_mut() {
-            if spec.scale_factor == 1 {
-                br.fresh.push(spec.id);
-            }
+        if self.pairs.is_some() && spec.scale_factor == 1 {
+            self.fresh.push(h);
         }
         self.handle_pos[h as usize] = self.specs.len() as u32;
         self.handles.push(h);
         self.specs.push(spec);
         self.policy_jobs.push(job);
-        self.selection_dirty = true;
     }
 
     /// Removes the job at position `i` (swap-remove, mirroring the
     /// engine's active vector) and unlinks its pair candidates through
     /// the per-job reverse index — O(degree), not O(|candidates|).
     pub fn remove(&mut self, i: usize) {
-        let id = self.specs[i].id;
         let h = self.handles[i];
         self.specs.swap_remove(i);
         self.singleton_rows.swap_remove(i);
@@ -727,120 +562,119 @@ impl SnapshotCache {
             self.handle_pos[self.handles[i] as usize] = i as u32;
         }
         self.handle_pos[h as usize] = NONE32;
-        self.store.remove_job(h);
+        self.unlink(h);
         self.free_handles.push(h);
-        if self.pairs.is_some() {
-            // Memoized rows are keyed by JobId; drop the dead job's so a
-            // later id reuse can never resurrect a stale row.
-            self.row_memo.retain(|&(a, b), _| a != id && b != id);
-        }
-        if let Some(br) = self.bridged.as_mut() {
-            if let Some(partners) = br.partners.remove(&id) {
-                for p in partners {
-                    br.entries.remove(&canonical(id, p));
-                    if let Some(set) = br.partners.get_mut(&p) {
-                        set.remove(&id);
-                    }
-                }
-            }
-        }
         self.selection_dirty = true;
         self.stats.rows_dropped += 1;
     }
 
-    /// Runs the selection pass: the bucketed walk by default, the flat
-    /// [`rank_and_cap`] when [`Self::set_flat_rerank`] is on, and both
-    /// (asserted identical) when crosschecking.
-    fn run_selection(&mut self, cap: usize) -> Vec<u32> {
-        if self.flat_rerank {
-            return self.rank_flat(cap);
+    /// Unlinks every candidate of handle `h`, dropping the memoized rows
+    /// of the freed slots (slot ids are reused).
+    fn unlink(&mut self, h: u32) {
+        if !self.rows.is_empty() {
+            for s in &self.store.job_slots[h as usize] {
+                self.rows.remove(s);
+            }
         }
+        self.store.remove_job(h);
+    }
+
+    /// Steps 1–2 of the sync protocol: builds the work set W, unlinks its
+    /// candidates and re-scores every pair touching W exactly once.
+    fn sync(&mut self, oracle: &Oracle, bridge: Option<&EstimatorBridge>) {
+        let Some(opts) = self.pairs else { return };
+        let mut work = std::mem::take(&mut self.fresh);
+        if let (Some(bridge), Some(epoch)) = (bridge, self.bridged_epoch.as_mut()) {
+            let dirty = bridge.dirty_since(*epoch);
+            *epoch = bridge.clock();
+            if !dirty.is_empty() {
+                for (s, &h) in self.specs.iter().zip(&self.handles) {
+                    if dirty.binary_search(&s.id).is_ok() {
+                        work.push(h);
+                    }
+                }
+            }
+        }
+        work.retain(|&h| {
+            let p = self.handle_pos[h as usize];
+            p != NONE32 && self.specs[p as usize].scale_factor == 1
+        });
+        if work.is_empty() {
+            return;
+        }
+        work.sort_unstable();
+        work.dedup();
+        for &w in &work {
+            self.unlink(w);
+        }
+        for &w in &work {
+            let a = self.spec_of(w);
+            for (b, &hb) in self.specs.iter().zip(&self.handles) {
+                // A pair inside W is scored from its lower handle only.
+                if b.scale_factor != 1 || hb == w || (hb < w && work.binary_search(&hb).is_ok()) {
+                    continue;
+                }
+                let score = match bridge {
+                    None => pair_score(oracle, &a, b),
+                    Some(br) => estimated_pair(oracle, br, &a, b).0,
+                };
+                self.stats.pair_evals += 1;
+                if score >= opts.min_aggregate {
+                    self.store.insert(w, hb, score);
+                }
+            }
+        }
+        self.selection_dirty = true;
+    }
+
+    /// Steps 3–4 of the sync protocol: the bucketed selection, then rows
+    /// for the selected slots, reusing the rows of slots that stayed
+    /// selected.
+    fn reselect(&mut self, oracle: &Oracle, bridge: Option<&EstimatorBridge>, cap: usize) {
         self.stats.bucketed_selections += 1;
         let slots = self.store.select(&self.handle_pos, cap, &mut self.stats);
-        if self.crosscheck {
-            let flat = self.rank_flat(cap);
-            assert_eq!(
-                slots, flat,
-                "bucketed selection diverged from the flat rank_and_cap oracle"
-            );
-        }
-        slots
-    }
-
-    /// The flat differential oracle: ranks every live slot through
-    /// [`rank_and_cap`] exactly like the pre-bucketed implementation.
-    fn rank_flat(&mut self, cap: usize) -> Vec<u32> {
-        self.stats.flat_reranks += 1;
-        let pos: HashMap<JobId, u32> = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i as u32))
-            .collect();
-        rank_and_cap(
-            self.store.live_slots().map(|(s, sl)| {
-                (
-                    self.handle_ids[sl.ha as usize],
-                    self.handle_ids[sl.hb as usize],
-                    sl.score,
-                    s,
-                )
-            }),
-            &pos,
-            self.specs.len(),
-            cap,
-        )
-    }
-
-    /// Re-selects plain-mode pairs and materializes rows for the
-    /// winners, reusing rows that stayed selected across the pass.
-    fn reselect_plain(&mut self, oracle: &Oracle) {
-        let Some(opts) = self.pairs else { return };
-        let slots = self.run_selection(opts.max_pairs_per_job);
-        let mut old = std::mem::take(&mut self.row_memo);
+        let mut old = std::mem::take(&mut self.rows);
         for &s in &slots {
-            let (a, b) = self.slot_ids(s);
-            let key = canonical(a, b);
-            let row = match old.remove(&key) {
+            let row = match old.remove(&s) {
                 Some(row) => row,
                 None => {
-                    let sl = &self.store.slots[s as usize];
-                    let sa = self.specs[self.handle_pos[sl.ha as usize] as usize];
-                    let sb = self.specs[self.handle_pos[sl.hb as usize] as usize];
+                    let sl = self.store.slots[s as usize];
+                    let (a, b) = (self.spec_of(sl.ha), self.spec_of(sl.hb));
                     self.stats.pair_rows_materialized += 1;
-                    pair_candidate(oracle, &sa, &sb).1
+                    match bridge {
+                        None => pair_candidate(oracle, &a, &b).1,
+                        Some(br) => estimated_pair(oracle, br, &a, &b).1,
+                    }
                 }
             };
-            self.row_memo.insert(key, row);
+            self.rows.insert(s, row);
         }
         self.selected = slots;
     }
 
-    /// Assembles the current snapshot from cached rows.
-    ///
-    /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
-    /// consolidated, opts)` (or `build_singleton_tensor` without pairs)
-    /// over the current job vector; the oracle is consulted only to
-    /// materialize rows for newly selected pairs. Bridged caches must
-    /// use [`Self::snapshot_bridged`] instead.
-    pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
-        assert!(
-            self.bridged.is_none(),
-            "bridged caches assemble through snapshot_bridged"
-        );
-        self.stats.incremental_snapshots += 1;
+    /// The one snapshot path behind [`Self::snapshot`] and
+    /// [`Self::snapshot_bridged`].
+    fn assemble(
+        &mut self,
+        oracle: &Oracle,
+        bridge: Option<&EstimatorBridge>,
+    ) -> (ComboSet, ThroughputTensor) {
+        self.sync(oracle, bridge);
         let num_types = GpuKind::all().len();
         let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
         let mut rows = self.singleton_rows.clone();
-        if self.pairs.is_some() {
+        if let Some(opts) = self.pairs {
             if self.selection_dirty {
-                self.reselect_plain(oracle);
+                self.reselect(oracle, bridge, opts.max_pairs_per_job);
                 self.selection_dirty = false;
             }
             for &s in &self.selected {
-                let (a, b) = self.slot_ids(s);
-                combos.push(Combo::pair(a, b));
-                rows.push(self.row_memo[&canonical(a, b)].clone());
+                let sl = &self.store.slots[s as usize];
+                combos.push(Combo::pair(
+                    self.handle_ids[sl.ha as usize],
+                    self.handle_ids[sl.hb as usize],
+                ));
+                rows.push(self.rows[&s].clone());
             }
         }
         (
@@ -849,232 +683,52 @@ impl SnapshotCache {
         )
     }
 
-    /// Assembles the current snapshot with pair rows from `bridge`,
-    /// re-deriving only the rows whose members' estimates drifted since
-    /// the last call (see the module docs for the invalidation protocol).
+    /// Assembles the current snapshot with oracle pair rows.
+    ///
+    /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
+    /// consolidated, opts)` (or `build_singleton_tensor` without pairs)
+    /// over the current job vector. Bridged caches must use
+    /// [`Self::snapshot_bridged`] instead.
+    pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
+        assert!(
+            self.bridged_epoch.is_none(),
+            "bridged caches assemble through snapshot_bridged"
+        );
+        self.stats.incremental_snapshots += 1;
+        self.assemble(oracle, None)
+    }
+
+    /// Assembles the current snapshot with pair scores and rows from
+    /// `bridge`, re-deriving only the pairs whose members' estimates
+    /// drifted since the last call (see the module docs).
     ///
     /// Row-for-row identical to `build_tensor_with_pairs_by(oracle,
     /// specs, consolidated, opts, |a, b, g| bridge.pair_throughput(...))`
-    /// at the bridge's current state.
+    /// at the bridge's current state. On a cache built with [`Self::new`]
+    /// this serves the oracle-backed [`Self::snapshot`] instead.
     pub fn snapshot_bridged(
         &mut self,
         oracle: &Oracle,
         bridge: &EstimatorBridge,
     ) -> (ComboSet, ThroughputTensor) {
-        if self.bridged.is_none() {
-            // Not a bridged cache: serve the oracle-backed snapshot
-            // instead of dying — callers constructed via `new` simply
-            // never see estimated rows.
+        if self.bridged_epoch.is_none() {
             return self.snapshot(oracle);
         }
-        let opts = self.bridged.as_ref().unwrap().opts;
-
-        // Dirty set: estimator drift since the last sync, plus admissions
-        // whose entries do not exist yet — restricted to resident
-        // single-worker jobs (only those form pairs).
-        let single_pos: HashMap<JobId, u32> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.scale_factor == 1)
-            .map(|(i, s)| (s.id, i as u32))
-            .collect();
-        let br = self.bridged.as_mut().unwrap();
-        let mut work: Vec<JobId> = bridge
-            .dirty_since(br.epoch)
-            .into_iter()
-            .chain(br.fresh.drain(..))
-            .filter(|id| single_pos.contains_key(id))
-            .collect();
-        work.sort_unstable();
-        work.dedup();
-        br.epoch = bridge.clock();
-
-        let n_single = single_pos.len();
-        let full = !work.is_empty() && work.len() as f64 > br.dirty_fraction * n_single as f64;
-        if full {
-            // Past the threshold patching costs as much as starting over:
-            // re-derive every pair and rebuild the bucket store.
-            br.entries.clear();
-            br.partners.clear();
-            self.store.clear();
-            self.stats.bridged_full_rebuilds += 1;
-        } else {
-            self.stats.bridged_partial_rebuilds += 1;
-        }
-
-        // Re-derive the affected rows. `work` is empty on a clean cache
-        // (cadence recompute with no drift), making this a pure assembly.
-        // Each re-derived entry migrates between score buckets instead of
-        // invalidating a global order.
-        let singles: Vec<(u32, JobSpec)> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.scale_factor == 1)
-            .map(|(i, s)| (self.handles[i], *s))
-            .collect();
-        let work_set: HashSet<JobId> = work.iter().copied().collect();
-        let store = &mut self.store;
-        let stats = &mut self.stats;
-        let mut derive = |ha: u32, a: &JobSpec, hb: u32, b: &JobSpec, br: &mut BridgedPairs| {
-            let (score, row) = pair_candidate_by(oracle, a, b, |x, y, g| {
-                bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
-            });
-            stats.pair_evals += 1;
-            let key = canonical(a.id, b.id);
-            let above = score >= opts.min_aggregate;
-            let prev_slot = br.entries.get(&key).and_then(|e| e.slot);
-            let slot = match (prev_slot, above) {
-                (Some(s), true) => {
-                    store.update_score(s, score);
-                    Some(s)
-                }
-                (Some(s), false) => {
-                    store.remove_slot(s);
-                    None
-                }
-                (None, true) => Some(store.insert(ha, hb, score)),
-                (None, false) => None,
-            };
-            br.entries.insert(
-                key,
-                BridgedEntry {
-                    #[cfg(debug_assertions)]
-                    revs: (bridge.revision(key.0), bridge.revision(key.1)),
-                    row: above.then_some(row),
-                    slot,
-                },
-            );
-            br.partners.entry(a.id).or_default().insert(b.id);
-            br.partners.entry(b.id).or_default().insert(a.id);
-        };
-        let br = self.bridged.as_mut().unwrap();
-        if full {
-            for (i, (ha, a)) in singles.iter().enumerate() {
-                for (hb, b) in &singles[i + 1..] {
-                    derive(*ha, a, *hb, b, br);
-                }
-            }
-        } else {
-            for &w in &work {
-                let wi = single_pos[&w] as usize;
-                let (wh, ws) = (self.handles[wi], self.specs[wi]);
-                for (oh, other) in &singles {
-                    if other.id == w || (work_set.contains(&other.id) && other.id < w) {
-                        continue;
-                    }
-                    derive(wh, &ws, *oh, other, br);
-                }
-            }
-        }
-        if !work.is_empty() {
-            self.selection_dirty = true;
-        }
-
-        // Bucketed selection, memoized while nothing changed.
-        if self.selection_dirty {
-            let slots = self.run_selection(opts.max_pairs_per_job);
-            let sel: Vec<(JobId, JobId)> = slots
-                .iter()
-                .map(|&s| {
-                    let (a, b) = self.slot_ids(s);
-                    canonical(a, b)
-                })
-                .collect();
-            self.bridged.as_mut().unwrap().selected = sel;
-            self.selection_dirty = false;
-        }
-
-        let br = self.bridged.as_ref().unwrap();
-        let num_types = GpuKind::all().len();
-        let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
-        let mut rows = self.singleton_rows.clone();
-        for &(a, b) in &br.selected {
-            // Selection only ever ranks entries with above-threshold
-            // scores, so the entry and its row exist; a missing one is a
-            // selection bug we skip (debug-asserted) rather than die on.
-            let Some(entry) = br.entries.get(&(a, b)) else {
-                debug_assert!(false, "selected pair ({a}, {b}) missing from entries");
-                continue;
-            };
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                entry.revs,
-                (bridge.revision(a), bridge.revision(b)),
-                "stale bridged entry ({a}, {b}) survived invalidation"
-            );
-            let Some(row) = entry.row.clone() else {
-                debug_assert!(false, "selected entry ({a}, {b}) has no row");
-                continue;
-            };
-            combos.push(Combo::pair(a, b));
-            rows.push(row);
-        }
-        (
-            ComboSet::new(combos),
-            ThroughputTensor::new(num_types, rows),
-        )
+        self.stats.bridged_snapshots += 1;
+        self.assemble(oracle, Some(bridge))
     }
 }
 
-/// Canonical (low, high) pair key.
-fn canonical(a: JobId, b: JobId) -> (JobId, JobId) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Ranks scored pair candidates exactly like the fresh builder and
-/// applies its greedy per-job cap, returning each surviving candidate's
-/// `tag` in emission order.
-///
-/// This is the *flat* implementation of the tie-break contract (see the
-/// module docs): every candidate is packed into a single `u128` key —
-/// descending score bits, then the two positions — and globally sorted.
-/// It costs O(n² log n²) per pass and survives as the differential
-/// oracle the bucketed store is crosschecked and benchmarked against.
-///
-/// Scores must be nonnegative and finite: `!score.to_bits()` orders the
-/// IEEE bit patterns inverse to the values only on that domain, and
-/// silently mis-orders negatives and NaNs (debug-asserted here).
-fn rank_and_cap<T: Copy>(
-    candidates: impl Iterator<Item = (JobId, JobId, f64, T)>,
-    pos: &HashMap<JobId, u32>,
-    n_jobs: usize,
-    max_pairs_per_job: usize,
-) -> Vec<T> {
-    let mut keys: Vec<(u128, T)> = candidates
-        .map(|(a, b, score, tag)| {
-            let pa = pos[&a];
-            let pb = pos[&b];
-            let (i, k) = if pa < pb { (pa, pb) } else { (pb, pa) };
-            debug_assert!(
-                score >= 0.0 && score.is_finite(),
-                "rank_and_cap requires nonnegative finite scores \
-                 (the score_desc bit trick mis-orders negatives/NaNs), got {score}"
-            );
-            let score_desc = !score.to_bits();
-            let key = ((score_desc as u128) << 64) | ((i as u128) << 32) | (k as u128);
-            (key, tag)
-        })
-        .collect();
-    keys.sort_unstable_by_key(|&(key, _)| key);
-    let mut per_job_count = vec![0usize; n_jobs];
-    let mut selected = Vec::new();
-    for &(key, tag) in &keys {
-        let i = ((key >> 32) & 0xffff_ffff) as usize;
-        let k = (key & 0xffff_ffff) as usize;
-        if per_job_count[i] >= max_pairs_per_job || per_job_count[k] >= max_pairs_per_job {
-            continue;
-        }
-        per_job_count[i] += 1;
-        per_job_count[k] += 1;
-        selected.push(tag);
-    }
-    selected
+/// One pair's score and row from the bridge's estimates.
+fn estimated_pair(
+    oracle: &Oracle,
+    bridge: &EstimatorBridge,
+    a: &JobSpec,
+    b: &JobSpec,
+) -> (f64, Vec<PairThroughput>) {
+    pair_candidate_by(oracle, a, b, |x, y, g| {
+        bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
+    })
 }
 
 #[cfg(test)]
@@ -1142,7 +796,6 @@ mod tests {
         let oracle = Oracle::new();
         let opts = PairOptions::default();
         let mut cache = SnapshotCache::new(true, Some(opts));
-        cache.set_crosscheck(true);
         for i in 0..8u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
@@ -1163,20 +816,58 @@ mod tests {
     }
 
     #[test]
-    fn flat_rerank_fallback_matches_fresh() {
+    fn batched_admits_and_removes_match_fresh() {
+        // Several admits and removes between two snapshots: the fresh list
+        // sees dead and reused handles, and pairs inside W are scored once.
         let oracle = Oracle::new();
-        let opts = PairOptions::default();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 3,
+        };
         let mut cache = SnapshotCache::new(true, Some(opts));
-        cache.set_flat_rerank(true);
-        for i in 0..8u64 {
-            let s = spec_nth(i, i as usize * 3 + 1);
+        for i in 0..5u64 {
+            let s = spec_nth(i, i as usize * 5 + 2);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        cache.remove(2);
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
-        let stats = cache.stats();
-        assert!(stats.flat_reranks > 0);
-        assert_eq!(stats.bucketed_selections, 0);
+        for i in 5..9u64 {
+            let s = spec_nth(i, i as usize * 5 + 2);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        cache.remove(6);
+        cache.remove(1);
+        let mut big = spec_nth(9, 4);
+        big.scale_factor = 2;
+        cache.admit(&oracle, big, PolicyJob::simple(big.id, 100.0));
+        let s = spec_nth(10, 11);
+        cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+    }
+
+    #[test]
+    fn admitted_and_removed_between_snapshots_costs_nothing() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 8,
+        };
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        for i in 0..4u64 {
+            let s = spec(i, ModelFamily::A3C, 4);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        let before = cache.stats();
+        let candidates = cache.candidate_count();
+        let transient = spec(4, ModelFamily::A3C, 4);
+        cache.admit(&oracle, transient, PolicyJob::simple(transient.id, 100.0));
+        cache.remove(4);
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().pair_evals, before.pair_evals);
+        assert_eq!(cache.candidate_count(), candidates);
+        assert!(cache
+            .pair_candidates()
+            .all(|(a, b, _)| a != transient.id && b != transient.id));
     }
 
     #[test]
@@ -1191,6 +882,9 @@ mod tests {
             let s = spec(i, ModelFamily::A3C, 4);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
+        // Admissions are scored at the next sync.
+        assert_eq!(cache.candidate_count(), 0);
+        cache.snapshot(&oracle);
         // Six mutually pairable jobs: 15 candidates, each job degree 5.
         assert_eq!(cache.candidate_count(), 15);
         assert_eq!(cache.candidate_degree(0), 5);
@@ -1238,7 +932,6 @@ mod tests {
             max_pairs_per_job: 2,
         };
         let mut cache = SnapshotCache::new(true, Some(opts));
-        cache.set_crosscheck(true);
         for i in 0..10u64 {
             let s = spec(i, ModelFamily::A3C, 4);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
@@ -1257,59 +950,30 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "nonnegative finite")]
-    fn rank_and_cap_rejects_negative_scores() {
-        let pos: HashMap<JobId, u32> = [(JobId(0), 0u32), (JobId(1), 1u32)].into_iter().collect();
-        // A negative score would silently sort *above* every positive one
-        // under the bit complement; the debug assertion must catch it.
-        rank_and_cap(
-            std::iter::once((JobId(0), JobId(1), -1.0f64, 0usize)),
-            &pos,
-            2,
-            8,
-        );
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "nonnegative finite")]
-    fn rank_and_cap_rejects_nan_scores() {
-        let pos: HashMap<JobId, u32> = [(JobId(0), 0u32), (JobId(1), 1u32)].into_iter().collect();
-        rank_and_cap(
-            std::iter::once((JobId(0), JobId(1), f64::NAN, 0usize)),
-            &pos,
-            2,
-            8,
-        );
-    }
-
-    #[test]
-    fn bucket_migration_on_drift() {
-        // Drive a slot across a bucket boundary via update_score and
-        // check the store's bucket bookkeeping stays consistent.
+    fn bucket_bookkeeping_through_unlink() {
         let mut store = PairStore::default();
         store.ensure_handles(4);
-        let a = store.insert(0, 1, 1.25);
-        let b = store.insert(2, 3, 2.5);
         assert_ne!(
             PairStore::bucket_of(1.25),
             PairStore::bucket_of(2.5),
             "test scores must land in different buckets"
         );
+        store.insert(0, 1, 1.25);
+        store.insert(2, 3, 2.5);
+        store.insert(0, 2, 2.5000001);
         assert_eq!(store.buckets.len(), 2);
-        // Same-bucket rescore: no migration.
-        store.update_score(a, 1.25000001);
-        assert_eq!(store.buckets.len(), 2);
-        // Cross-bucket rescore: slot a joins slot b's bucket.
-        store.update_score(a, 2.5000001);
-        assert_eq!(store.buckets.len(), 1);
-        assert_eq!(store.buckets.values().next().unwrap().len(), 2);
-        // Unlink via the reverse index still works after migration.
+        assert_eq!(store.degree(0), 2);
+        // Unlinking handle 0 frees both its slots and empties a bucket.
         store.remove_job(0);
         assert_eq!(store.live, 1);
-        store.remove_slot(b);
+        assert_eq!(store.buckets.len(), 1);
+        assert_eq!(store.degree(2), 1);
+        // The freed slot is reused, and its new bucket reappears.
+        store.insert(1, 3, 1.25);
+        assert_eq!(store.free.len(), 1);
+        assert_eq!(store.buckets.len(), 2);
+        store.remove_job(3);
         assert_eq!(store.live, 0);
         assert!(store.buckets.is_empty());
     }
@@ -1322,8 +986,7 @@ mod tests {
             max_pairs_per_job: 4,
         };
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 9);
-        let mut cache = SnapshotCache::new_bridged(true, opts, BRIDGED_DIRTY_FRACTION);
-        cache.set_crosscheck(true);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         for i in 0..8u64 {
             let s = spec_nth(i, i as usize * 5 + 2);
             bridge.register(&oracle, s.id, s.config);
@@ -1340,51 +1003,54 @@ mod tests {
             bridge.forget(id);
             assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
         }
-        // A clean recompute (no drift, no churn) is a pure assembly and
-        // must also match.
+        // A clean recompute (no drift, no churn) is a pure assembly: no
+        // pair evaluation, and still a match.
+        let evals = cache.stats().pair_evals;
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        assert_eq!(cache.stats().pair_evals, evals);
         let stats = cache.stats();
-        assert!(
-            stats.bridged_partial_rebuilds > 0,
-            "steady state must stay partial: {stats:?}"
-        );
+        assert_eq!(stats.bridged_snapshots, 12);
+        assert_eq!(stats.incremental_snapshots, 0);
     }
 
     #[test]
-    fn bridged_falls_back_past_dirty_threshold_and_recovers() {
+    fn bridged_rescores_each_pair_once_when_every_job_drifts() {
         let oracle = Oracle::new();
         let opts = PairOptions {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
+        let n = 6usize;
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 11);
-        let mut cache = SnapshotCache::new_bridged(true, opts, 0.5);
-        cache.set_crosscheck(true);
-        for i in 0..6u64 {
+        let mut cache = SnapshotCache::new_bridged(true, opts);
+        for i in 0..n as u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
             bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        // Initial population: every resident job is fresh → full rebuild.
+        // Initial population: every job is fresh, every pair scored once.
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 1);
+        assert_eq!(cache.stats().pair_evals, n * (n - 1) / 2);
 
-        // Dirty well past half the residents: falls back to full again,
-        // and the result still matches the fresh build bit-for-bit.
-        for i in 0..4usize {
-            let (a, b) = (cache.specs()[i], cache.specs()[(i + 1) % 6]);
+        // Dirty every resident job: W is the whole job set, and each pair
+        // is still re-scored exactly once.
+        let epoch = bridge.clock();
+        for i in 0..n {
+            let (a, b) = (cache.specs()[i], cache.specs()[(i + 1) % n]);
             bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
         }
+        assert_eq!(bridge.dirty_since(epoch).len(), n, "every job must drift");
+        let before = cache.stats().pair_evals;
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 2);
+        assert_eq!(cache.stats().pair_evals - before, n * (n - 1) / 2);
 
-        // One refined pair afterwards stays on the partial path.
-        let partial_before = cache.stats().bridged_partial_rebuilds;
+        // One refined pair afterwards re-scores only the pairs touching
+        // its two members.
+        let before = cache.stats().pair_evals;
         let (a, b) = (cache.specs()[0], cache.specs()[1]);
         bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 2);
-        assert_eq!(cache.stats().bridged_partial_rebuilds, partial_before + 1);
+        assert!(cache.stats().pair_evals - before <= 2 * (n - 1));
     }
 
     #[test]
@@ -1397,7 +1063,7 @@ mod tests {
             max_pairs_per_job: 8,
         };
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 13);
-        let mut cache = SnapshotCache::new_bridged(true, opts, BRIDGED_DIRTY_FRACTION);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 7 + 3);
             if i % 2 == 0 {

@@ -36,36 +36,32 @@
 //! - **Snapshot cache.** [`SnapshotCache`] keeps the
 //!   [`gavel_core::ComboSet`], [`gavel_core::ThroughputTensor`], and
 //!   [`gavel_core::PolicyJob`] vector alive across recomputes: admission
-//!   appends the arriving job's singleton row and O(n) scored pair
-//!   candidates, completion drops the job's rows, and each recompute
-//!   assembles a snapshot that is row-for-row bitwise identical to a
+//!   appends the arriving job's singleton row and marks it fresh,
+//!   completion drops the job's rows and unlinks its pair candidates,
+//!   and each recompute scores the pairs of the fresh jobs once before
+//!   assembling a snapshot that is row-for-row bitwise identical to a
 //!   fresh `build_tensor_with_pairs` run (proptested) — without the
 //!   O(n²) oracle pair sweep. Candidates live in a score-bucketed pair
 //!   store (buckets keyed by the score's IEEE-754 prefix, per-job
 //!   reverse index for O(degree) completions); selection under the
 //!   per-job pair cap walks buckets in descending order and sorts only
 //!   the still-contested slots, preserving the flat sort's tie-break
-//!   order bit-exactly. The old flat ranking survives as a
-//!   differential oracle behind [`SnapshotCache::set_crosscheck`].
-//! - **Bridged invalidation.** Estimator-bridged runs (Figure 14) ride
-//!   the same cache in *bridged* mode: every cached pair row is keyed by
-//!   its two members' estimator revisions, each recompute asks the
-//!   [`EstimatorBridge`] which jobs drifted since the last sync and
-//!   re-derives only the rows touching that dirty set — O(|dirty| · n)
-//!   bridge evaluations — falling back to a full re-derivation only when
-//!   the dirty set crosses a threshold fraction of the resident jobs.
+//!   order bit-exactly, and rows are built for the selected pairs only.
+//! - **Bridged invalidation.** Estimator-bridged runs (Figure 14) take
+//!   the same path: each recompute asks the [`EstimatorBridge`] which
+//!   jobs drifted since the last sync, adds them to the fresh jobs, and
+//!   re-scores every pair touching that set exactly once — O(|dirty| · n)
+//!   bridge evaluations, even when every job drifted.
 //! - **Round planning.** The incremental `gavel_sched::RoundScheduler`
 //!   (generation-keyed candidate buffer: an unchanged allocation only
 //!   re-scores priorities instead of re-extracting and re-allocating).
 //!
 //! The `sim` bench (`BENCH_sim.json`) tracks the cached-vs-rebuild
-//! recompute cost and gates CI on the oracle-backed path never falling
-//! back to full rebuilds, on the ≥3x incremental speedup at 1024+ jobs,
-//! on the bridged path staying partial (one expected full
-//! re-derivation at population) with a ≥2x edge over the
-//! estimator-driven rebuild under drift, and on the bucketed selection
-//! beating the flat re-rank by ≥5x at 4096 jobs under churn with zero
-//! production flat re-ranks.
+//! recompute cost and gates CI on the ≥3x incremental speedup at 1024+
+//! jobs, on the bridged path re-scoring at most (dirtied jobs) × n pairs
+//! per snapshot with a ≥2x edge over the estimator-driven rebuild under
+//! drift, and on the bucketed selection beating the flat re-rank
+//! (`gavel_experiments::flat_rank`) by ≥5x at 4096 jobs under churn.
 //!
 //! Fidelity knobs reproduce the paper's setups:
 //!
@@ -86,7 +82,7 @@ pub mod client;
 pub use client::{compile_trace, Simulator};
 pub use gavel_service::{
     EstimatorBridge, FailureConfig, JobOutcome, RecomputeCadence, ServiceStats, SimConfig,
-    SimResult, SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION,
+    SimResult, SnapshotCache, SnapshotStats,
 };
 
 /// Runs `policy` over `trace` under `config` and returns the metrics.

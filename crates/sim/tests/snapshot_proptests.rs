@@ -1,13 +1,9 @@
 //! Property tests: the incremental snapshot is row-for-row identical to a
 //! fresh tensor build under arbitrary admit/complete interleavings — and,
 //! in bridged mode, under arbitrary admit/complete/refine interleavings
-//! against a live estimator, including past the dirty-set fallback
-//! threshold.
-//!
-//! Both harnesses run with the crosscheck enabled, so every bucketed
-//! selection pass is additionally asserted bit-identical (same pair set,
-//! same emission order) to the flat `rank_and_cap` differential oracle
-//! inside the cache itself.
+//! against a live estimator, including refine bursts that dirty every
+//! resident job. The fresh builders are implemented independently of the
+//! cache's bucketed store, so each step checks the selection too.
 
 use gavel_core::{JobId, PolicyJob};
 use gavel_estimator::EstimatorConfig;
@@ -29,7 +25,6 @@ fn run_sequence(ops: &[(bool, usize, usize, usize)], opts: Option<PairOptions>) 
     let oracle = Oracle::new();
     let all = JobConfig::all();
     let mut cache = SnapshotCache::new(true, opts);
-    cache.set_crosscheck(true);
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut next_id = 0u64;
     for &(admit, pick, cfg_idx, sf_sel) in ops {
@@ -64,30 +59,19 @@ fn run_sequence(ops: &[(bool, usize, usize, usize)], opts: Option<PairOptions>) 
             assert_eq!(tensor.row(k), fresh_tensor.row(k), "row {k} diverges");
         }
     }
-    let stats = cache.stats();
-    assert_eq!(stats.bridged_partial_rebuilds, 0);
-    assert_eq!(stats.bridged_full_rebuilds, 0);
-    // Crosschecking runs the flat oracle once per bucketed pass.
-    assert_eq!(stats.flat_reranks, stats.bucketed_selections);
+    assert_eq!(cache.stats().bridged_snapshots, 0);
 }
 
 /// Bridged-mode interleavings: admits (registered with the estimator or
 /// not), completions (with estimator forget), and `observe` bursts that
-/// refine anywhere from one pair up to every resident job — the latter
-/// pushing the dirty set past the fallback threshold. After every op the
-/// bridged snapshot must be row-for-row bitwise identical to a fresh
-/// estimator-driven rebuild at the same estimator state.
-fn run_bridged_sequence(
-    ops: &[(usize, usize, usize, usize)],
-    opts: PairOptions,
-    dirty_fraction: f64,
-    seed: u64,
-) {
+/// refine anywhere from one pair up to every resident job. After every
+/// op the bridged snapshot must be row-for-row bitwise identical to a
+/// fresh estimator-driven rebuild at the same estimator state.
+fn run_bridged_sequence(ops: &[(usize, usize, usize, usize)], opts: PairOptions, seed: u64) {
     let oracle = Oracle::new();
     let all = JobConfig::all();
     let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), seed);
-    let mut cache = SnapshotCache::new_bridged(true, opts, dirty_fraction);
-    cache.set_crosscheck(true);
+    let mut cache = SnapshotCache::new_bridged(true, opts);
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut next_id = 0u64;
     let mut snapshots = 0usize;
@@ -117,7 +101,7 @@ fn run_bridged_sequence(
                 bridge.forget(id);
             }
             // Observe burst: refine 1..=len colocated pairs, dirtying up
-            // to every resident job (past any dirty_fraction threshold).
+            // to every resident job.
             2 if specs.len() >= 2 => {
                 let burst = extra % specs.len() + 1;
                 for k in 0..burst {
@@ -151,13 +135,8 @@ fn run_bridged_sequence(
         }
     }
     let stats = cache.stats();
-    assert_eq!(
-        stats.bridged_partial_rebuilds + stats.bridged_full_rebuilds,
-        snapshots,
-        "every bridged snapshot is classified partial or full"
-    );
+    assert_eq!(stats.bridged_snapshots, snapshots);
     assert_eq!(stats.incremental_snapshots, 0);
-    assert_eq!(stats.flat_reranks, stats.bucketed_selections);
 }
 
 proptest! {
@@ -184,13 +163,11 @@ proptest! {
         ops in prop::collection::vec((0usize..4, 0usize..64, 0usize..64, 0usize..16), 1..30),
         min_aggregate in 1.0f64..1.5,
         max_pairs in 1usize..6,
-        dirty_fraction in 0.2f64..0.8,
         seed in 0u64..1024,
     ) {
         run_bridged_sequence(
             &ops,
             PairOptions { min_aggregate, max_pairs_per_job: max_pairs },
-            dirty_fraction,
             seed,
         );
     }

@@ -46,10 +46,10 @@
 //!   method, paying `O(m * width)` per pivot. It exists for differential
 //!   testing: because it lowers bounds the *other* way, it is an
 //!   independent check on the entire bounded-variable path. The property
-//!   tests pit the two engines against each other, and setting
-//!   `GAVEL_LP_CROSSCHECK=1` in debug builds re-solves every LP densely —
-//!   cold, warm-continued, and dual-reoptimized solves alike — asserting
-//!   the objectives agree and the returned point is feasible.
+//!   tests pit the two engines against each other, and
+//!   [`LpProblem::assert_matches_dense`] re-solves any LP densely —
+//!   after a cold, warm-continued or dual-reoptimized solve alike —
+//!   asserting the objectives agree and the returned point is feasible.
 //!
 //! # Warm starts and dual reoptimization
 //!

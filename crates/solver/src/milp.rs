@@ -444,14 +444,6 @@ impl NodeCtx {
             objective,
             stats: out.stats,
         };
-        #[cfg(debug_assertions)]
-        {
-            let mut node_lp = lp.clone();
-            for &(v, lo, hi) in node_bounds {
-                node_lp.set_bounds(v, lo, hi);
-            }
-            node_lp.cross_check(&sol);
-        }
         Some(Ok((
             sol,
             WarmStart {

@@ -284,8 +284,6 @@ impl LpProblem {
             objective,
             stats,
         };
-        #[cfg(debug_assertions)]
-        self.cross_check(&sol);
         Ok((sol, WarmStart { basis, at_upper }))
     }
 
@@ -315,31 +313,26 @@ impl LpProblem {
         })
     }
 
-    /// Debug-mode oracle: when `GAVEL_LP_CROSSCHECK` is set, re-solve with
+    /// Differential check of a solution `sol` of this problem (from any
+    /// engine: cold, warm-continued or dual-reoptimized): re-solves with
     /// the dense tableau (which expands column bounds into explicit rows,
-    /// independently of the bounded-variable path) and assert the engines
-    /// agree on the objective. Runs on *every* revised-engine solve —
-    /// cold, warm-continued, and dual-reoptimized alike, since
-    /// [`LpProblem::solve`] and [`LpProblem::solve_warm`] share this exit
-    /// path — and additionally asserts the returned point respects every
-    /// variable bound and constraint of the original problem.
-    #[cfg(debug_assertions)]
-    pub(crate) fn cross_check(&self, sol: &LpSolution) {
-        if std::env::var_os("GAVEL_LP_CROSSCHECK").is_none() {
-            return;
-        }
+    /// independently of the bounded-variable path) and asserts the
+    /// objectives agree, and that `sol` respects every variable bound and
+    /// constraint. Panics on a mismatch, in release builds too. Tests call
+    /// it; no solve path does.
+    pub fn assert_matches_dense(&self, sol: &LpSolution) {
         let dense = self
             .solve_dense()
             .expect("dense oracle failed where the revised simplex succeeded");
         let scale = 1.0 + sol.objective.abs().max(dense.objective.abs());
-        debug_assert!(
+        assert!(
             (sol.objective - dense.objective).abs() <= 1e-6 * scale,
             "revised/dense objective mismatch: {} vs {}",
             sol.objective,
             dense.objective,
         );
         for (v, value) in self.vars.iter().zip(&sol.values) {
-            debug_assert!(
+            assert!(
                 *value >= v.lower - 1e-6 && *value <= v.upper + 1e-6,
                 "variable `{}` = {value} violates bounds [{}, {}]",
                 v.name,
@@ -359,7 +352,7 @@ impl LpProblem {
                 Cmp::Ge => lhs >= c.rhs - tol,
                 Cmp::Eq => (lhs - c.rhs).abs() <= tol,
             };
-            debug_assert!(ok, "constraint {i} violated: lhs {lhs} vs rhs {}", c.rhs);
+            assert!(ok, "constraint {i} violated: lhs {lhs} vs rhs {}", c.rhs);
         }
     }
 

@@ -11,8 +11,8 @@
 //! engine expands each `x_j <= u_j` into an explicit `<=` row before
 //! building the tableau. That deliberately keeps this engine independent of
 //! the bounded-variable machinery in [`crate::revised`], so differential
-//! tests and the `GAVEL_LP_CROSSCHECK` oracle exercise the implicit-bound
-//! path against a row-based implementation of the same LP.
+//! tests and [`crate::LpProblem::assert_matches_dense`] exercise the
+//! implicit-bound path against a row-based implementation of the same LP.
 
 use crate::error::SolverError;
 use crate::problem::Cmp;

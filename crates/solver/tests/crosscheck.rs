@@ -1,9 +1,5 @@
-//! `GAVEL_LP_CROSSCHECK` coverage of the warm/dual solve paths.
-//!
-//! Lives in its own test binary: the flag is a process-global environment
-//! variable, and flipping it while sibling tests solve LPs on parallel
-//! threads would nondeterministically drag them through the dense-oracle
-//! cross-check path.
+//! Dense-oracle coverage of the cold, warm and dual solve paths through
+//! `LpProblem::assert_matches_dense`.
 
 use gavel_solver::{Cmp, LpProblem, Sense, SolverError, VarId, WarmStart};
 
@@ -40,13 +36,11 @@ fn round_lp(n: usize, tputs: &[f64], floors: &[f64], active: &[bool]) -> LpProbl
     lp
 }
 
-/// `GAVEL_LP_CROSSCHECK` runs the dense oracle against every revised
-/// solve, including warm-started and dual-reoptimized ones (they share the
-/// `solve_warm_with` exit path). This exercises that hook over a rising
-/// floor sequence so the dual path is differentially tested in debug runs.
+/// Checks every revised solve of a rising-floor sequence against the
+/// dense oracle: a cold solve and a warm-started one per round, the warm
+/// ones crossing basis breakpoints into the dual path.
 #[test]
 fn crosscheck_covers_warm_and_dual_solves() {
-    std::env::set_var("GAVEL_LP_CROSSCHECK", "1");
     let tputs: Vec<f64> = (0..21).map(|i| 0.5 + 0.17 * i as f64).collect();
     // Job 4 is bottlenecked from the start; raising its frozen floor each
     // round is what pushes the warm basis across breakpoints into the
@@ -58,8 +52,9 @@ fn crosscheck_covers_warm_and_dual_solves() {
     let mut dual_pivots = 0;
     for r in 0..6 {
         let lp = round_lp(5, &tputs, &floors, &active);
-        // cross_check fires inside solve_warm_with (debug builds).
+        lp.assert_matches_dense(&lp.solve().unwrap());
         let (sol, basis) = lp.solve_warm(cache.as_ref()).unwrap();
+        lp.assert_matches_dense(&sol);
         dual_pivots += sol.stats.dual_pivots;
         cache = Some(basis);
         let t_star = sol.objective.max(0.1);
@@ -71,7 +66,6 @@ fn crosscheck_covers_warm_and_dual_solves() {
             };
         }
     }
-    std::env::remove_var("GAVEL_LP_CROSSCHECK");
     // This fixed sequence crosses basis breakpoints, so the dual path must
     // actually have run under the oracle's eye.
     assert!(
